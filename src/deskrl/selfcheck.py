@@ -120,6 +120,13 @@ def _check_gradients(rng: Rng) -> list[CheckResult]:
     spec = T.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
     out.append(_gradcheck("grad_conv2d",
                           lambda: T.tsum(T.square(T.conv2d(xc, kc, spec))), [xc, kc]))
+    # Stride 2 on the first axis and unequal padding exercise the input
+    # gradient's zero dilation on the 3D path too.
+    x3 = T.Tensor(rng.normal(size=(2, 2, 5, 4, 5)), requires_grad=True)
+    k3 = T.Tensor(rng.normal(size=(3, 2, 3, 3, 3)), requires_grad=True)
+    spec3 = T.ConvSpec((3, 3, 3), (2, 1, 1), (1, 0, 1), 2, 3)
+    out.append(_gradcheck("grad_conv3d",
+                          lambda: T.tsum(T.square(T.conv3d(x3, k3, spec3))), [x3, k3]))
     lg = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     acts = np.array([0, 2, 4, 1])
     out.append(_gradcheck("grad_categorical",

@@ -8,6 +8,7 @@ which checkpoint and resume tests rely on.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -33,16 +34,29 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container; raise ValueError naming the path if it is cut short
+    or has bytes after the last array."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a deskrl container (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+
+        def read_exact(count: int, what: str) -> bytes:
+            data = f.read(count)
+            if len(data) != count:
+                raise ValueError(f"{path}: truncated in {what} "
+                                 f"(wanted {count} bytes, got {len(data)})")
+            return data
+
+        (hlen,) = struct.unpack("<Q", read_exact(8, "the header length"))
+        header = json.loads(read_exact(hlen, "the header").decode("utf-8"))
         arrays: dict[str, np.ndarray] = {}
         for spec in header["arrays"]:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
+            buf = read_exact(count * 8, f"array {spec['name']!r}")
             arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise ValueError(f"{path}: {extra} unexpected bytes after the last array")
     return header["meta"], arrays

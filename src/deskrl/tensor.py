@@ -3,9 +3,13 @@
 Minimal engine with exactly the operator set the networks need: elementwise
 arithmetic, matmul/dense, relu, dropout, 2D/3D cross-correlation, spatial
 max pooling, reductions, and the categorical-distribution ops used by the
-policy heads. Convolutions run as strided window gathers feeding BLAS
-matmuls; their backward passes recompute the gather instead of retaining it,
-trading a little compute for a lot of memory.
+policy heads. Forward, kernel gradient and input gradient of every
+convolution run through one correlation routine: im2col over all spatial
+axes but the first (Chellapilla et al., 2006), then one BLAS GEMM per
+first-axis kernel offset on a slice of those columns. The input gradient is
+the correlation of the zero-dilated upstream gradient with the flipped,
+channel-swapped kernel; the kernel gradient gathers the columns again
+instead of retaining them, trading a little compute for a lot of memory.
 
 Everything is float64. Gradients accumulate additively across backward
 calls, matching the usual autograd convention.
@@ -306,23 +310,75 @@ class ConvSpec:
         return tuple(out)
 
 
-def _window_view(xp: np.ndarray, kshape: tuple, stride: tuple, out_shape: tuple) -> np.ndarray:
-    """Strided view (C, *kshape, N, *out) over padded input (N, C, *spatial).
+def _embed(a: np.ndarray, extents: tuple, lo: tuple, step: tuple) -> np.ndarray:
+    """Zero buffer (C, E0, N, E1, ...) holding `a` (N, C, *spatial) channel-major.
 
-    Channel/kernel axes lead so the reshape to a column matrix copies in
-    long contiguous runs of the innermost spatial axis, which is markedly
-    faster than the (N, *out, C, *kshape) ordering.
+    Along spatial axis i, a[..., y, ...] lands at lo[i] + y * step[i] of a
+    buffer of extent extents[i]; entries that land outside are dropped, so a
+    negative `lo` crops. Forward passes pad with it (lo = padding, step 1),
+    the input gradient zero-dilates with it (step = stride).
     """
-    n, c = xp.shape[:2]
-    sp_strides = xp.strides[2:]
-    shape = (c,) + kshape + (n,) + out_shape
-    strides = (
-        (xp.strides[1],)
-        + sp_strides
-        + (xp.strides[0],)
-        + tuple(st * s for st, s in zip(sp_strides, stride))
-    )
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
+    n, c = a.shape[:2]
+    buf = np.zeros((c, extents[0], n) + tuple(extents[1:]))
+    src, dst = [], []
+    for size, e, first_pos, s in zip(a.shape[2:], extents, lo, step):
+        first = max(0, -(first_pos // s))
+        stop = min(size, (e - 1 - first_pos) // s + 1)
+        if first >= stop:
+            return buf  # nothing lands: every entry is cropped away
+        src.append(slice(first, stop))
+        dst.append(slice(first_pos + first * s, first_pos + (stop - 1) * s + 1, s))
+    order = (1, 2, 0) + tuple(range(3, a.ndim))
+    buf[(slice(None), dst[0], slice(None)) + tuple(dst[1:])] = \
+        a.transpose(order)[(slice(None), src[0], slice(None)) + tuple(src[1:])]
+    return buf
+
+
+def _columns(src: np.ndarray, kshape: tuple, stride: tuple, out_shape: tuple) -> list:
+    """The k0 column matrices of a correlation over channel-major `src`.
+
+    src is (C, E0, N, E1, ...), already padded. Every spatial axis but the
+    first is lowered im2col-style into one gather of layout
+    (C*k1*..., E0, N*out1*...); the first axis keeps its full extent, so the
+    matrix for first-axis kernel offset i is a slice of those columns,
+    (C*k1*..., out0*N*out1*...), not another copy (a copy only when the
+    first-axis stride exceeds 1). A 3x3x3 kernel at depth 8 and padding 1
+    thus copies each input value 9 * 10 / 8 ~ 11 times instead of 27.
+    """
+    c, _, n = src.shape[:3]
+    k0, s0, out0 = kshape[0], stride[0], out_shape[0]
+    used0 = s0 * (out0 - 1) + k0
+    tail = src.strides[3:]
+    view = np.lib.stride_tricks.as_strided(
+        src,
+        shape=(c,) + kshape[1:] + (used0, n) + out_shape[1:],
+        strides=((src.strides[0],) + tail + src.strides[1:3]
+                 + tuple(st * s for st, s in zip(tail, stride[1:]))))
+    cols = view.reshape(c * int(np.prod(kshape[1:])), used0, -1)
+    return [cols[:, i:i + s0 * (out0 - 1) + 1:s0].reshape(cols.shape[0], -1)
+            for i in range(k0)]
+
+
+def _correlate(src: np.ndarray, kernel: np.ndarray, stride: tuple,
+               out_shape: tuple) -> np.ndarray:
+    """Cross-correlation of channel-major `src` with kernel (O, C, *k).
+
+    Returns (O, out0, N, out1, ...): the sum over first-axis kernel offsets
+    of one GEMM each on the column slices of `_columns`.
+    """
+    o, k0 = kernel.shape[0], kernel.shape[2]
+    w = np.moveaxis(kernel, 2, 0).reshape(k0, o, -1)
+    slabs = _columns(src, kernel.shape[2:], stride, out_shape)
+    acc = w[0] @ slabs[0]
+    term = np.empty_like(acc)
+    for wi, slab in zip(w[1:], slabs[1:]):
+        acc += np.matmul(wi, slab, out=term)
+    return acc.reshape((o, out_shape[0], src.shape[2]) + out_shape[1:])
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """(C, S0, N, S1, ...) -> a (N, C, S0, S1, ...) view."""
+    return a.transpose((2, 0, 1) + tuple(range(3, a.ndim)))
 
 
 def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int) -> Tensor:
@@ -338,46 +394,36 @@ def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int) -> Tensor:
             f"channel mismatch: input has {c_in}, kernel has {c_k}, spec expects {spec.in_channels}")
     if o != spec.out_channels or kshape != spec.kernel:
         raise ShapeError(f"kernel shape {kernel.shape} does not match spec")
-    out_shape = spec.out_extent(x.shape[2:])
+    in_shape = x.shape[2:]
+    out_shape = spec.out_extent(in_shape)
+    ones = (1,) * ndim
 
-    pad_width = [(0, 0), (0, 0)] + [(p, p) for p in spec.padding]
-    ksize = int(np.prod(kshape)) * c_in
-    w_mat = kernel.data.reshape(o, ksize)
+    def padded_input() -> np.ndarray:
+        extents = tuple(e + 2 * p for e, p in zip(in_shape, spec.padding))
+        return _embed(x.data, extents, spec.padding, ones)
 
-    n_pos = n * int(np.prod(out_shape))
-
-    def gather(data: np.ndarray) -> np.ndarray:
-        padded = np.pad(data, pad_width) if any(spec.padding) else data
-        view = _window_view(padded, kshape, spec.stride, out_shape)
-        return view.reshape(ksize, n_pos)
-
-    cols = gather(x.data)  # (C*K, N*P)
-    out_mat = w_mat @ cols  # (O, N*P)
-    out_data = np.ascontiguousarray(
-        np.moveaxis(out_mat.reshape((o, n) + out_shape), 0, 1))
-    del cols  # recomputed in backward; keeping it would dominate memory
+    out_data = _batch_major(_correlate(padded_input(), kernel.data, spec.stride, out_shape))
 
     def bw(g):
-        g_mat = np.moveaxis(g, 1, 0).reshape(o, n_pos)
         if kernel.requires_grad:
-            _accumulate(kernel, (g_mat @ gather(x.data).T).reshape(kernel.shape))
+            # dW for first-axis offset i: g against the column slice for i.
+            # The columns are gathered again; keeping them would dominate memory.
+            g_mat = g.transpose((1, 2, 0) + tuple(range(3, g.ndim))).reshape(o, -1)
+            slabs = _columns(padded_input(), kshape, spec.stride, out_shape)
+            # slab @ g.T runs faster in BLAS than g @ slab.T for these shapes.
+            dw = np.stack([slab @ g_mat.T for slab in slabs])  # (k0, C*k1*..., O)
+            dw = dw.reshape((kshape[0], c_in) + kshape[1:] + (o,))
+            _accumulate(kernel, dw.transpose((ndim + 1, 1, 0) + tuple(range(2, ndim + 1))))
         if x.requires_grad:
-            dcols = w_mat.T @ g_mat  # (C*K, N*P)
-            dcols = dcols.reshape((c_in,) + kshape + (n,) + out_shape)
-            dcols = np.moveaxis(dcols, ndim + 1, 0)  # (N, C, *kshape, *out)
-            padded_shape = tuple(
-                e + 2 * p for e, p in zip(x.shape[2:], spec.padding))
-            gxp = np.zeros((n, c_in) + padded_shape)
-            # One vectorized add per kernel offset; K is small.
-            for kidx in np.ndindex(*kshape):
-                slices = tuple(
-                    slice(ki, ki + st * oe, st)
-                    for ki, st, oe in zip(kidx, spec.stride, out_shape))
-                gxp[(slice(None), slice(None)) + slices] += dcols[
-                    (slice(None), slice(None)) + kidx]
-            crop = tuple(
-                slice(p, p + e) for p, e in zip(spec.padding, x.shape[2:]))
-            _accumulate(x, gxp[(slice(None), slice(None)) + crop])
+            # dX is the stride-1 correlation of g, zero-dilated by the stride
+            # and padded by k-1-p (negative crops), with the kernel flipped
+            # and its channel axes swapped (Dumoulin & Visin, 2016).
+            extents = tuple(e + k - 1 for e, k in zip(in_shape, kshape))
+            lo = tuple(k - 1 - p for k, p in zip(kshape, spec.padding))
+            flipped = kernel.data[(slice(None), slice(None)) + (slice(None, None, -1),) * ndim]
+            dx = _correlate(_embed(g, extents, lo, spec.stride),
+                            flipped.swapaxes(0, 1), ones, in_shape)
+            _accumulate(x, _batch_major(dx))
 
     return _make(out_data, (x, kernel), bw)
 

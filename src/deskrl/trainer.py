@@ -102,6 +102,27 @@ def evaluate_policy(agent: Agent, config: TrainConfig, eval_rng: Rng,
     return returns[:num_episodes]
 
 
+def _check_resume_matches(path, meta: dict, hp: AgentHyperparams,
+                          config: TrainConfig) -> None:
+    """Raise unless the checkpoint was written with this `hp` and `config`.
+
+    `total_steps` is exempt: a resume may extend the budget.
+    """
+    diffs = []
+    for section, current in (("hp", asdict(hp)), ("config", asdict(config))):
+        # Compare in the JSON form the checkpoint stores (tuples read back as lists).
+        current = json.loads(json.dumps(current))
+        stored = meta.get(section, {})
+        for key in sorted(set(stored) | set(current)):
+            if section == "config" and key == "total_steps":
+                continue
+            if stored.get(key) != current.get(key):
+                diffs.append(f"{section}.{key} (checkpoint {stored.get(key)!r}, "
+                             f"now {current.get(key)!r})")
+    if diffs:
+        raise ValueError(f"{path}: checkpoint does not match this run: " + "; ".join(diffs))
+
+
 def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
           resume_from=None) -> dict:
     """Run one seed to completion; returns a small summary dict.
@@ -129,6 +150,7 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
 
     if resume_from is not None:
         meta, arrays = read_container(resume_from)
+        _check_resume_matches(resume_from, meta, hp, config)
         state = meta["trainer_state"]
         agent.load_state(arrays, state["agent_rngs"])
         collector.set_state(state["vec"], arrays["frame_stack"])

@@ -47,3 +47,29 @@ def test_empty_arrays_round_trip(tmp_path):
     meta, arrays = read_container(path)
     assert meta == {"only": "meta"}
     assert arrays == {}
+
+
+def _damaged(tmp_path, transform):
+    path = tmp_path / "c.bin"
+    write_container(path, {"k": 1}, {"first": np.ones(4), "last": Rng(1).normal(size=(2, 3))})
+    path.write_bytes(transform(path.read_bytes()))
+    return path
+
+
+@pytest.mark.parametrize("cut", [3, 8])
+def test_truncated_container_names_path_and_array(tmp_path, cut):
+    path = _damaged(tmp_path, lambda b: b[:-cut])
+    with pytest.raises(ValueError, match=r"c\.bin: truncated in array 'last'"):
+        read_container(path)
+
+
+def test_truncated_header_is_reported(tmp_path):
+    path = _damaged(tmp_path, lambda b: b[:20])
+    with pytest.raises(ValueError, match="truncated in the header"):
+        read_container(path)
+
+
+def test_trailing_bytes_are_rejected(tmp_path):
+    path = _damaged(tmp_path, lambda b: b + b"\x00" * 8)
+    with pytest.raises(ValueError, match=r"c\.bin: 8 unexpected bytes"):
+        read_container(path)

@@ -188,6 +188,50 @@ def test_conv2d_gradients_match_finite_differences(rng):
     assert rel_err(kt.grad, central_diff_grad(loss_k, k.copy())) < 1e-6
 
 
+def _random_conv_case(seed):
+    r = np.random.default_rng(seed)
+    nd = 2 + seed % 2
+    ksh = tuple(int(v) for v in r.integers(1, 4, size=nd))
+    stride = tuple(int(v) for v in r.integers(1, 4, size=nd))
+    pad = tuple(int(v) for v in r.integers(0, 3, size=nd))
+    insh = tuple(int(r.integers(max(1, k - 2 * p), 8)) for k, p in zip(ksh, pad))
+    return ksh, stride, pad, insh
+
+
+CONV_GRAD_CASES = [
+    # (kernel, stride, padding, input extents); remainders of
+    # (extent + 2 * padding - kernel) by stride are uneven in most cases
+    ((3, 3), (1, 1), (1, 1), (5, 6)),
+    ((3, 2), (2, 3), (0, 1), (8, 7)),
+    ((1, 2), (3, 1), (2, 2), (4, 5)),      # padding >= kernel extent
+    ((4, 3), (3, 2), (2, 0), (9, 6)),
+    ((3, 3, 3), (1, 1, 1), (1, 1, 1), (4, 5, 5)),
+    ((3, 3, 3), (2, 1, 1), (1, 0, 1), (5, 6, 5)),
+    ((2, 1, 3), (1, 3, 2), (2, 2, 0), (4, 7, 6)),  # padding >= kernel extent
+    ((1, 3, 2), (3, 2, 3), (0, 2, 1), (7, 5, 6)),
+] + [_random_conv_case(seed) for seed in range(8)]
+
+
+@pytest.mark.parametrize("ksh,stride,pad,insh", CONV_GRAD_CASES)
+def test_conv_gradients_satisfy_adjoint_identity(ksh, stride, pad, insh):
+    # conv is bilinear, so for any probes x', W' and upstream g:
+    # <conv(x', W), g> = <x', dX> and <conv(x, W'), g> = <W', dW>.
+    r = np.random.default_rng(sum(ksh + stride + pad + insh))
+    c, o = int(r.integers(1, 4)), int(r.integers(1, 4))
+    x = r.normal(size=(2, c) + insh)
+    k = r.normal(size=(o, c) + ksh)
+    op = T.conv2d if len(ksh) == 2 else T.conv3d
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    y = op(xt, kt, T.ConvSpec(ksh, stride, pad, c, o))
+    g = r.normal(size=y.shape)
+    T.tsum(T.mul(y, Tensor(g))).backward()
+    x_probe, k_probe = r.normal(size=x.shape), r.normal(size=k.shape)
+    lhs_x = np.vdot(loop_conv(x_probe, k, stride, pad), g)
+    lhs_k = np.vdot(loop_conv(x, k_probe, stride, pad), g)
+    assert rel_err(lhs_x, np.vdot(x_probe, xt.grad)) <= 1e-10
+    assert rel_err(lhs_k, np.vdot(k_probe, kt.grad)) <= 1e-10
+
+
 def test_conv_spec_validation():
     with pytest.raises(ShapeError):
         T.ConvSpec((3, 3), (1,), (1, 1), 2, 3)  # rank mismatch

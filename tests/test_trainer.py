@@ -87,6 +87,22 @@ def test_resume_from_checkpoint_is_bit_identical(tmp_path):
         (part / "ckpt_update2.bin").read_bytes()
 
 
+def test_resume_rejects_a_checkpoint_from_another_config(tmp_path):
+    run = tmp_path / "run"
+    cfg = small_config(total_steps=256, eval_interval=10**9, checkpoint_interval=1)
+    train(cfg, SMALL_PPO, run)
+    ckpt = run / "ckpt_update1.bin"
+    with pytest.raises(ValueError, match=r"config\.env .*chase_dot.*blink_door"):
+        train(dataclasses.replace(cfg, env="blink_door"), SMALL_PPO, run, resume_from=ckpt)
+    with pytest.raises(ValueError, match=r"hp\.learning_rate"):
+        train(cfg, dataclasses.replace(SMALL_PPO, learning_rate=1.0), run, resume_from=ckpt)
+    with pytest.raises(ValueError) as err:
+        train(dataclasses.replace(cfg, seed=124, num_envs=4, total_steps=512), SMALL_PPO,
+              run, resume_from=ckpt)
+    assert "config.seed" in str(err.value) and "config.num_envs" in str(err.value)
+    assert "total_steps" not in str(err.value)
+
+
 def test_evaluate_policy_uses_test_split_and_is_repeatable():
     agent = Agent(SMALL_PPO, obs_size=16, num_actions=5, rng=Rng(0))
     cfg = small_config()
