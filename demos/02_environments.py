@@ -9,7 +9,7 @@ Run: python3 demos/02_environments.py
 import numpy as np
 
 from deskrl.envs import (ENV_REGISTRY, NUM_ACTIONS, LevelSeed, make_env,
-                         normalized_return, oracle_action, sample_level_seed)
+                         normalized_return, sample_level_seed)
 from deskrl.rng import Rng
 
 
@@ -31,7 +31,8 @@ for name, cls in sorted(ENV_REGISTRY.items()):
     act_rng = rng.split(f"{name}:random")
     for s in range(40):
         level = LevelSeed(name, s, "train")
-        oracle_scores.append(normalized_return(spec, play(make_env(level), oracle_action)))
+        oracle_scores.append(normalized_return(
+            spec, play(make_env(level), lambda e: e.oracle_action())))
         random_scores.append(normalized_return(
             spec, play(make_env(LevelSeed(name, s + 100, "train")),
                        lambda e: int(act_rng.integers(0, NUM_ACTIONS)))))

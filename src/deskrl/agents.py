@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .networks import BackboneConfig, PolicyValueNet, build_backbone
+from .networks import BackboneConfig, PolicyValueNet
 from .optim import Adam, clip_grad_norm
 from .rng import Rng
 from .rollout import RolloutBuffer
@@ -131,7 +131,7 @@ class Agent:
             frames=hp.frames, conv_kind=hp.conv_kind,
             width_multiplier=hp.width_multiplier,
             obs_height=obs_size, obs_width=obs_size, num_actions=num_actions)
-        self.net = build_backbone(self.config, rng.split("net"))
+        self.net = PolicyValueNet(self.config, rng.split("net"))
         self.optimizer = Adam(self.net.params(), lr=hp.learning_rate)
         self._action_rng = rng.split("actions")
         self._dropout_rng = rng.split("dropout")

@@ -16,7 +16,6 @@ layout and in a seeded color palette.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ TRAIN_SEED_SPACE = 2**63  # test seeds draw from [num_train_levels, 2**63)
 __all__ = [
     "EnvSpec", "StepResult", "LevelSeed", "GridGame", "VecEnv",
     "ENV_REGISTRY", "make_env", "sample_level_seed", "normalized_return",
-    "oracle_action", "write_episode_trace",
 ]
 
 
@@ -414,17 +412,6 @@ def make_env(level: LevelSeed, obs_size: int = GRID,
         raise KeyError(f"unknown environment {level.env_name!r}; "
                        f"known: {sorted(ENV_REGISTRY)}")
     return ENV_REGISTRY[level.env_name](level, obs_size, max_episode_steps)
-
-
-def oracle_action(env: GridGame) -> int:
-    return env.oracle_action()
-
-
-def write_episode_trace(path, records: list[dict]) -> None:
-    """Debug dump: one JSON object per line with step/action/reward/done."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 class VecEnv:

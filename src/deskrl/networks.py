@@ -15,22 +15,18 @@ is active only in train-mode forward passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .rng import Rng
-from .serialize import read_container, write_container
 from .tensor import Tensor
 
 STAGE_CHANNELS = (16, 32, 32)
 TRUNK_UNITS = 256
 
-__all__ = [
-    "BackboneConfig", "PolicyValueOutput", "PolicyValueNet",
-    "build_backbone", "save_checkpoint", "load_checkpoint",
-]
+__all__ = ["BackboneConfig", "PolicyValueOutput", "PolicyValueNet"]
 
 
 @dataclass(frozen=True)
@@ -232,36 +228,3 @@ class PolicyValueNet:
         value = T.reshape(self.value_head(x), (n,))
         return PolicyValueOutput(logits=logits, value=value)
 
-
-def build_backbone(config: BackboneConfig, rng: Rng) -> PolicyValueNet:
-    return PolicyValueNet(config, rng)
-
-
-def save_checkpoint(path, net: PolicyValueNet, extra_arrays: dict | None = None,
-                    extra_meta: dict | None = None) -> None:
-    arrays = {name: p.data for name, p in net.named_params()}
-    if extra_arrays:
-        arrays.update(extra_arrays)
-    meta = {"backbone": asdict(net.config)}
-    if extra_meta:
-        meta.update(extra_meta)
-    write_container(path, meta, arrays)
-
-
-def load_checkpoint(path) -> tuple[PolicyValueNet, dict, dict]:
-    """Rebuild a network from a checkpoint.
-
-    Returns (net, meta, leftover_arrays) where leftover_arrays holds any
-    non-parameter arrays stored alongside (e.g. optimizer state).
-    """
-    meta, arrays = read_container(path)
-    config = BackboneConfig(**meta["backbone"])
-    net = PolicyValueNet(config, Rng(0))
-    leftover = dict(arrays)
-    for name, p in net.named_params():
-        stored = leftover.pop(name)
-        if stored.shape != p.data.shape:
-            raise ValueError(f"checkpoint array {name} has shape {stored.shape}, "
-                             f"expected {p.data.shape}")
-        p.data = np.array(stored, dtype=np.float64)
-    return net, meta, leftover

@@ -43,12 +43,6 @@ class Rng:
         """Derive a child stream by integer index (for per-env / per-worker streams)."""
         return Rng(self.seed, self.path + (int(index),))
 
-    def clone(self) -> "Rng":
-        """Copy this stream, including its current position."""
-        other = Rng(self.seed, self.path)
-        other.set_state(self.get_state())
-        return other
-
     # -- draws ------------------------------------------------------------
 
     def integers(self, low, high=None, size=None):
@@ -96,12 +90,6 @@ class Rng:
         bg_state["has_uint32"] = state["has_uint32"]
         bg_state["uinteger"] = state["uinteger"]
         self._gen.bit_generator.state = bg_state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Rng":
-        rng = cls(state["seed"], tuple(state["path"]))
-        rng.set_state(state)
-        return rng
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={self.path})"

@@ -58,10 +58,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """A view of the same values with no tape attachment."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -6,6 +6,10 @@ intervals. Writes a metrics CSV (one row per completed episode, train and
 eval) plus a JSON sidecar of per-update statistics, and can checkpoint and
 resume on update boundaries with bit-identical continuation.
 
+Checkpoints are deskrl's one checkpoint format. Before it loads anything or
+touches `metrics.csv`, resume rejects a checkpoint whose `hp`/`config`
+(bar `total_steps`) or whose array names and shapes differ from this run's.
+
 Evaluation keeps VSOP's dropout sampling active by default (the acting
 policy is the Thompson-sampling policy); `eval_mode="mean"` switches to
 deterministic eval-mode forwards for ablation.
@@ -22,7 +26,7 @@ import numpy as np
 from .agents import Agent, AgentHyperparams
 from .envs import VecEnv, normalized_return
 from .rng import Rng
-from .rollout import Collector
+from .rollout import Collector, FrameStack
 from .serialize import read_container, write_container
 
 __all__ = ["TrainConfig", "train", "evaluate_policy", "METRICS_COLUMNS"]
@@ -42,10 +46,9 @@ class TrainConfig:
     eval_mode: str = "thompson"  # "thompson" | "mean"
     obs_size: int = 16
     checkpoint_interval: int = 0  # updates between checkpoints; 0 disables
-    horizon: int | None = None  # default: batch_size // num_envs
 
     def resolved_horizon(self, hp: AgentHyperparams) -> int:
-        h = self.horizon or hp.batch_size // self.num_envs
+        h = hp.batch_size // self.num_envs
         if h * self.num_envs != hp.batch_size:
             raise ValueError(
                 f"horizon {h} x num_envs {self.num_envs} != batch_size {hp.batch_size}")
@@ -86,19 +89,21 @@ def evaluate_policy(agent: Agent, config: TrainConfig, eval_rng: Rng,
     vec = VecEnv(config.env, min(num_episodes, config.num_envs), "test",
                  config.num_train_levels, eval_rng.split("envs"),
                  obs_size=config.obs_size)
-    collector = Collector(vec, agent.hp.frames)
+    stack = FrameStack(agent.hp.frames, vec.num_envs,
+                       (vec.spec.obs_height, vec.spec.obs_width, 3))
+    stack.reset_all(vec.reset_all())
     action_rng = eval_rng.split("actions")
     dropout_rng = eval_rng.split("dropout")
     thompson = agent.hp.algo == "vsop" and config.eval_mode == "thompson"
     returns: list[float] = []
-    # Step until enough episodes complete; horizon chunks keep it simple.
+    # Step until the num_episodes-th episode completes, and no further.
     while len(returns) < num_episodes:
-        _, finished = collector.collect(
-            lambda stacked: agent.select_action(
-                stacked, thompson=thompson,
-                action_rng=action_rng, dropout_rng=dropout_rng),
-            horizon=64)
+        actions, _, _ = agent.select_action(
+            stack.stacked(), thompson=thompson,
+            action_rng=action_rng, dropout_rng=dropout_rng)
+        obs, _, dones, finished = vec.step(actions)
         returns.extend(finished)
+        stack.push(obs, dones)
     return returns[:num_episodes]
 
 
@@ -121,6 +126,20 @@ def _check_resume_matches(path, meta: dict, hp: AgentHyperparams,
                              f"now {current.get(key)!r})")
     if diffs:
         raise ValueError(f"{path}: checkpoint does not match this run: " + "; ".join(diffs))
+
+
+def _check_resume_arrays(path, stored: dict[str, np.ndarray],
+                         current: dict[str, np.ndarray]) -> None:
+    """Raise unless the checkpoint holds exactly this run's arrays, shape for
+    shape (a missing or unexpected array shows as shape None)."""
+    have = {name: a.shape for name, a in stored.items()}
+    want = {name: a.shape for name, a in current.items()}
+    diffs = [f"{name} (checkpoint {have.get(name)}, now {want.get(name)})"
+             for name in sorted(have.keys() | want.keys())
+             if have.get(name) != want.get(name)]
+    if diffs:
+        raise ValueError(f"{path}: checkpoint arrays do not match this run: "
+                         + "; ".join(diffs))
 
 
 def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
@@ -151,6 +170,8 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
     if resume_from is not None:
         meta, arrays = read_container(resume_from)
         _check_resume_matches(resume_from, meta, hp, config)
+        _check_resume_arrays(resume_from, arrays,
+                             {**agent.state_arrays(), "frame_stack": collector.stack.frames})
         state = meta["trainer_state"]
         agent.load_state(arrays, state["agent_rngs"])
         collector.set_state(state["vec"], arrays["frame_stack"])
@@ -176,6 +197,7 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
                         r, normalized_return(spec, r))
 
     def save_ckpt() -> None:
+        vec_state, frame_stack = collector.get_state()
         state = {
             "steps_done": steps_done,
             "update_idx": update_idx,
@@ -183,11 +205,11 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
             "update_log": update_log,
             "agent_rngs": agent.rng_states(),
             "eval_rng": eval_master.get_state(),
-            "vec": collector.get_state()[0],
+            "vec": vec_state,
             "csv_offset": metrics.offset(),
         }
         arrays = agent.state_arrays()
-        arrays["frame_stack"] = collector.get_state()[1]
+        arrays["frame_stack"] = frame_stack
         write_container(
             os.path.join(out_dir, f"ckpt_update{update_idx}.bin"),
             {"trainer_state": state, "hp": asdict(hp), "config": asdict(config)},

@@ -21,7 +21,7 @@ import yaml
 from deskrl import tensor as T
 from deskrl.agents import PRESETS, preset
 from deskrl.cli import load_run_config, main, run_training
-from deskrl.networks import BackboneConfig, build_backbone
+from deskrl.networks import BackboneConfig, PolicyValueNet
 from deskrl.report import collect_run_scores
 from deskrl.rng import Rng
 from deskrl.rollout import compute_gae
@@ -79,11 +79,13 @@ def _op_cases(rng):
     c_conv3 = rng.normal(size=(1, 2, 3, 4, 4))
     xp = Tensor(_away_from(rng, (1, 2, 4, 4), 0.2), requires_grad=True)
     c_pool = rng.normal(size=(1, 2, 2, 2))
-    drop_state = rng.split("drop").get_state()
+    drop_rng = rng.split("drop")
+    drop_state = drop_rng.get_state()
     c_nm2 = rng.normal(size=(n, m))
 
     def frozen_dropout():
-        return T.dropout(a, 0.35, "train", Rng.from_state(drop_state))
+        drop_rng.set_state(drop_state)
+        return T.dropout(a, 0.35, "train", drop_rng)
 
     return {
         "add": ([a, b], lambda: _weighted_sum(T.add(a, b), c_nm)),
@@ -363,15 +365,15 @@ def test_criterion_7_preset_table_fidelity():
 
 def test_criterion_8_scaling_fidelity():
     for kind, frames in (("conv2d", 1), ("conv3d", 8)):
-        base = build_backbone(BackboneConfig(
+        base = PolicyValueNet(BackboneConfig(
             frames=frames, conv_kind=kind, width_multiplier=1,
             obs_height=16, obs_width=16), Rng(0))
-        wide = build_backbone(BackboneConfig(
+        wide = PolicyValueNet(BackboneConfig(
             frames=frames, conv_kind=kind, width_multiplier=2,
             obs_height=16, obs_width=16), Rng(0))
         for b, w in zip(base.conv_layers(), wide.conv_layers()):
             assert w.out_channels == 2 * b.out_channels, b.name
-    stacked = build_backbone(BackboneConfig(
+    stacked = PolicyValueNet(BackboneConfig(
         frames=8, conv_kind="conv2d", obs_height=16, obs_width=16), Rng(0))
     assert stacked.conv_layers()[0].spec.in_channels == 24
     print("\n[criterion 8] PASS width x2 doubles all 15 conv layers' output "

@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from deskrl.envs import (ENV_REGISTRY, GRID, NUM_ACTIONS, LevelSeed, VecEnv,
-                         make_env, normalized_return, oracle_action,
-                         sample_level_seed, write_episode_trace)
+                         make_env, normalized_return, sample_level_seed)
 from deskrl.rng import Rng
 
 ALL_GAMES = sorted(ENV_REGISTRY)
@@ -15,10 +12,11 @@ def level(name, seed, split="train"):
     return LevelSeed(name, seed, split)
 
 
-def rollout(env, policy, rng=None):
-    """Play one episode to completion; returns the episodic return."""
+def rollout(env, rng=None):
+    """Play one episode to completion, by the game's oracle or, given rng,
+    uniformly at random; returns the episodic return."""
     while not env.done:
-        a = policy(env) if rng is None else int(rng.integers(0, NUM_ACTIONS))
+        a = env.oracle_action() if rng is None else int(rng.integers(0, NUM_ACTIONS))
         res = env.step(a)
     return res.episode_return
 
@@ -64,7 +62,7 @@ def test_episode_dynamics_are_deterministic(name):
 
 def test_step_after_done_raises():
     env = make_env(level("chase_dot", 0))
-    rollout(env, None, rng=Rng(0))
+    rollout(env, rng=Rng(0))
     with pytest.raises(RuntimeError):
         env.step(0)
 
@@ -116,7 +114,7 @@ def test_returns_stay_inside_analytic_bounds(name):
     for s in range(120):
         env = make_env(level(name, s))
         # mix of random and oracle play to probe both ends of the range
-        ret = rollout(env, None, rng=rng) if s % 2 else rollout(env, oracle_action)
+        ret = rollout(env, rng=rng) if s % 2 else rollout(env)
         returns.append(ret)
         assert spec.score_min <= ret <= spec.score_max, (name, s, ret)
     assert len(returns) == 120
@@ -137,10 +135,10 @@ def test_oracle_dominates_random_with_headroom(name):
     spec = ENV_REGISTRY[name].spec()
     rng = Rng(23)
     oracle_scores = [
-        normalized_return(spec, rollout(make_env(level(name, s)), oracle_action))
+        normalized_return(spec, rollout(make_env(level(name, s))))
         for s in range(60)]
     random_scores = [
-        normalized_return(spec, rollout(make_env(level(name, s + 60)), None, rng=rng))
+        normalized_return(spec, rollout(make_env(level(name, s + 60)), rng=rng))
         for s in range(60)]
     assert np.mean(oracle_scores) > 0.9, name
     assert np.mean(random_scores) < 0.5, name
@@ -190,25 +188,6 @@ def test_state_round_trip_resumes_identically(name):
         np.testing.assert_array_equal(res1.observation, res2.observation)
 
 
-# -- trace dump --------------------------------------------------------------
-
-def test_episode_trace_is_valid_jsonl(tmp_path):
-    env = make_env(level("corridor_dodge", 5))
-    records = []
-    while not env.done:
-        a = oracle_action(env)
-        res = env.step(a)
-        records.append({"t": env.t, "action": a, "reward": res.reward,
-                        "done": res.done})
-    path = tmp_path / "trace.jsonl"
-    write_episode_trace(path, records)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(records)
-    parsed = [json.loads(ln) for ln in lines]
-    assert parsed[-1]["done"] is True
-    assert [p["t"] for p in parsed] == list(range(1, len(records) + 1))
-
-
 # -- vectorized wrapper ------------------------------------------------------
 
 def test_vecenv_determinism_and_autoreset():
@@ -247,7 +226,8 @@ def test_vecenv_state_round_trip():
 
     vec2 = VecEnv("corridor_dodge", 3, "train", 10, Rng(9))
     vec2.set_state(snap)
-    r2 = Rng.from_state(rng_tail)
+    r2 = Rng(2)
+    r2.set_state(rng_tail)
     for _ in range(50):
         a = r.integers(0, NUM_ACTIONS, size=3)
         o1, w1, d1, f1 = vec.step(a)

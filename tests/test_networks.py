@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from deskrl.networks import (BackboneConfig, PolicyValueNet, build_backbone,
-                             load_checkpoint, save_checkpoint)
+from deskrl.networks import BackboneConfig, PolicyValueNet
 from deskrl.rng import Rng
 from deskrl.tensor import ShapeError, Tensor, tsum, add
 
 
 def make_net(**kw):
     cfg = BackboneConfig(obs_height=16, obs_width=16, **kw)
-    return build_backbone(cfg, Rng(0))
+    return PolicyValueNet(cfg, Rng(0))
 
 
 def frames_batch(n, k, size=16):
@@ -157,35 +156,3 @@ def test_build_is_deterministic_given_seed():
     b = PolicyValueNet(BackboneConfig(obs_height=16, obs_width=16), Rng(7))
     for (na, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data)
-
-
-# -- checkpointing ----------------------------------------------------------
-
-def test_checkpoint_round_trip_and_byte_stability(tmp_path):
-    net = make_net(frames=8, conv_kind="conv3d", width_multiplier=1)
-    x = net.format_obs(frames_batch(2, 8))
-    before = net.forward(x).logits.data
-    p1 = tmp_path / "net.bin"
-    save_checkpoint(p1, net, extra_arrays={"extra": np.arange(3.0)},
-                    extra_meta={"note": "hi"})
-    loaded, meta, leftover = load_checkpoint(p1)
-    assert meta["note"] == "hi"
-    np.testing.assert_array_equal(leftover["extra"], np.arange(3.0))
-    after = loaded.forward(loaded.format_obs(frames_batch(2, 8))).logits.data
-    np.testing.assert_array_equal(before, after)
-    p2 = tmp_path / "net2.bin"
-    save_checkpoint(p2, loaded, extra_arrays={"extra": np.arange(3.0)},
-                    extra_meta={"note": "hi"})
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_checkpoint_shape_mismatch_raises(tmp_path):
-    net = make_net()
-    path = tmp_path / "net.bin"
-    save_checkpoint(path, net)
-    from deskrl.serialize import read_container, write_container
-    meta, arrays = read_container(path)
-    arrays["trunk.bias"] = arrays["trunk.bias"][:-1]
-    write_container(path, meta, arrays)
-    with pytest.raises(ValueError, match="shape"):
-        load_checkpoint(path)

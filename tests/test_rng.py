@@ -47,21 +47,12 @@ def test_state_round_trip_resumes_exactly():
     r2 = Rng(11).split("stream")
     r2.set_state(state)
     np.testing.assert_array_equal(tail, r2.normal(size=64))
-    r3 = Rng.from_state(state)
-    np.testing.assert_array_equal(tail, r3.normal(size=64))
 
 
 def test_set_state_rejects_foreign_stream():
     state = Rng(1).split("a").get_state()
     with pytest.raises(ValueError):
         Rng(1).split("b").set_state(state)
-
-
-def test_clone_preserves_position():
-    r = Rng(9)
-    r.random(13)
-    c = r.clone()
-    np.testing.assert_array_equal(r.random(20), c.random(20))
 
 
 def test_seed_range_validation():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from deskrl.agents import Agent, preset
+from deskrl.envs import VecEnv
 from deskrl.rng import Rng
+from deskrl.serialize import read_container, write_container
 from deskrl.trainer import METRICS_COLUMNS, TrainConfig, evaluate_policy, train
 
 SMALL_HP = dataclasses.replace(preset("vsop"), batch_size=256)
@@ -103,6 +105,33 @@ def test_resume_rejects_a_checkpoint_from_another_config(tmp_path):
     assert "total_steps" not in str(err.value)
 
 
+def test_resume_rejects_misshapen_arrays(tmp_path):
+    run = tmp_path / "run"
+    cfg = small_config(total_steps=256, eval_interval=10**9, checkpoint_interval=1)
+    train(cfg, SMALL_PPO, run)
+    meta, arrays = read_container(run / "ckpt_update1.bin")
+    csv_before = (run / "metrics.csv").read_bytes()
+
+    def edited(name, edit):
+        changed = dict(arrays)
+        edit(changed)
+        path = tmp_path / f"{name}.bin"
+        write_container(path, meta, changed)
+        return path
+
+    cases = {
+        "trunk.bias": lambda a: a.update({"trunk.bias": a["trunk.bias"][:-1]}),
+        "stage0.entry.kernel": lambda a: a.pop("stage0.entry.kernel"),
+        "junk": lambda a: a.update({"junk": np.zeros(3)}),
+    }
+    for name, edit in cases.items():
+        path = edited(name, edit)
+        with pytest.raises(ValueError) as err:
+            train(cfg, SMALL_PPO, run, resume_from=path)
+        assert str(path) in str(err.value) and f"{name} (" in str(err.value)
+        assert (run / "metrics.csv").read_bytes() == csv_before
+
+
 def test_evaluate_policy_uses_test_split_and_is_repeatable():
     agent = Agent(SMALL_PPO, obs_size=16, num_actions=5, rng=Rng(0))
     cfg = small_config()
@@ -124,3 +153,21 @@ def test_evaluate_policy_does_not_perturb_training_streams(tmp_path):
     rows_a = [r for r in read_rows(a / "metrics.csv") if r[1] == "train"]
     rows_b = [r for r in read_rows(b / "metrics.csv") if r[1] == "train"]
     assert rows_a == rows_b
+
+
+def test_evaluate_policy_stops_at_the_last_episode(monkeypatch):
+    # With one env and one episode, the step that ends the episode is the
+    # last step evaluation takes.
+    dones = []
+    step = VecEnv.step
+
+    def spy(self, actions):
+        out = step(self, actions)
+        dones.append(bool(out[2][0]))
+        return out
+
+    monkeypatch.setattr(VecEnv, "step", spy)
+    agent = Agent(SMALL_PPO, obs_size=16, num_actions=5, rng=Rng(0))
+    cfg = small_config(env="corridor_dodge", num_envs=1)
+    assert len(evaluate_policy(agent, cfg, Rng(5).split("eval"), num_episodes=1)) == 1
+    assert dones[-1] and not any(dones[:-1])
