@@ -157,7 +157,7 @@ class Agent:
                                    rng=dropout_rng or self._dropout_rng)
         else:
             out = self.net.forward(x, mode="eval")
-        actions, logprob, _ = T.sample_categorical(
+        actions, logprob = T.sample_categorical(
             out.logits, action_rng or self._action_rng)
         return actions, logprob.data.copy(), out.value.data.copy()
 

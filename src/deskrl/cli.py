@@ -1,7 +1,9 @@
 """Command-line harness: train / aggregate / selfcheck / ablate / plot.
 
 Configs are YAML key-value files validated up front (all problems reported
-at once); CLI flags override file values. Runs are laid out as
+at once); CLI flags override file values. The per-cell settings take their
+defaults and their checks from `trainer.TrainConfig`, which checks them the
+same way whether they arrive here or through the API. Runs are laid out as
 <output_dir>/<env>/seed<k>/ with a manifest.json recording the config hash,
 per-seed status, and the complete file inventory. Errors exit nonzero with
 a machine-readable JSON object on stderr.
@@ -27,18 +29,16 @@ from .envs import ENV_REGISTRY
 from .report import build_report, render_svg
 from .selfcheck import run_selfcheck
 from .stats import final_score
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, settings_problems, train
 
 __all__ = ["main", "load_run_config", "RunConfig"]
 
+# The TrainConfig fields a run applies to every (env, seed) cell.
+_CELL_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig)
+                     if f.name not in ("env", "seed"))
 _CONFIG_DEFAULTS = {
-    "num_train_levels": 50,
-    "eval_interval": 8192,
-    "eval_episodes": 10,
-    "num_envs": 8,
-    "obs_size": 16,
-    "eval_mode": "thompson",
-    "checkpoint_interval": 0,
+    **{f.name: f.default for f in dataclasses.fields(TrainConfig)
+       if f.default is not dataclasses.MISSING},
     "window": 100,
     "hyperparam_overrides": {},
     "output_dir": None,
@@ -110,14 +110,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         problems.append("missing required field: seeds (non-empty list)")
     elif len(set(seeds)) != len(seeds):
         problems.append("seeds must be distinct")
-    if not isinstance(raw.get("total_steps"), int) or raw.get("total_steps", 0) <= 0:
-        problems.append("total_steps must be a positive integer")
-    for key in ("num_train_levels", "eval_interval", "eval_episodes",
-                "num_envs", "obs_size", "window"):
-        if not isinstance(raw.get(key), int) or raw[key] <= 0:
-            problems.append(f"{key} must be a positive integer")
-    if raw.get("eval_mode") not in ("thompson", "mean"):
-        problems.append("eval_mode must be 'thompson' or 'mean'")
+    problems += settings_problems(raw)
+    if not isinstance(raw.get("window"), int) or raw["window"] <= 0:
+        problems.append("window must be a positive integer")
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
 
@@ -125,14 +120,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"{path}: unknown config fields: {sorted(unknown)}")
-    cfg = RunConfig(
-        preset=raw["preset"], envs=list(envs), seeds=[int(s) for s in seeds],
-        total_steps=raw["total_steps"], num_train_levels=raw["num_train_levels"],
-        eval_interval=raw["eval_interval"], eval_episodes=raw["eval_episodes"],
-        num_envs=raw["num_envs"], obs_size=raw["obs_size"],
-        eval_mode=raw["eval_mode"], checkpoint_interval=raw["checkpoint_interval"],
-        window=raw["window"], hyperparam_overrides=raw["hyperparam_overrides"] or {},
-        output_dir=raw["output_dir"])
+    cfg = RunConfig(**{
+        **raw, "envs": list(envs), "seeds": [int(s) for s in seeds],
+        "hyperparam_overrides": raw["hyperparam_overrides"] or {}})
     cfg.hyperparams()  # raises on inconsistent overrides
     return cfg
 
@@ -166,12 +156,8 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
         for seed in cfg.seeds:
             statuses[(env, seed)] = "running"
             _write_manifest(out_dir, cfg, statuses, inventory)
-            tc = TrainConfig(
-                env=env, seed=seed, total_steps=cfg.total_steps,
-                num_envs=cfg.num_envs, num_train_levels=cfg.num_train_levels,
-                eval_interval=cfg.eval_interval, eval_episodes=cfg.eval_episodes,
-                eval_mode=cfg.eval_mode, obs_size=cfg.obs_size,
-                checkpoint_interval=cfg.checkpoint_interval)
+            tc = TrainConfig(env=env, seed=seed,
+                             **{k: getattr(cfg, k) for k in _CELL_FIELDS})
             try:
                 summary = train(tc, hp, os.path.join(out_dir, env, f"seed{seed}"))
             except Exception:

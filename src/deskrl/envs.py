@@ -93,10 +93,9 @@ class GridGame:
     success_reward = 3.0
     step_cost = 1.0 / 1024.0
     shaping_coeff = 0.01
-    default_max_steps = DEFAULT_MAX_STEPS
+    max_episode_steps = DEFAULT_MAX_STEPS
 
-    def __init__(self, level: LevelSeed, obs_size: int = GRID,
-                 max_episode_steps: int | None = None):
+    def __init__(self, level: LevelSeed, obs_size: int = GRID):
         if obs_size % GRID:
             raise ValueError(f"obs_size must be a multiple of {GRID}")
         if level.env_name != self.name:
@@ -104,7 +103,6 @@ class GridGame:
         self.level = level
         self.obs_size = obs_size
         self.cell = obs_size // GRID
-        self.max_episode_steps = max_episode_steps or self.default_max_steps
         self._rng = Rng(level.seed).split(f"level:{self.name}")
         self.t = 0
         self.done = False
@@ -128,12 +126,10 @@ class GridGame:
         raise NotImplementedError
 
     @classmethod
-    def spec(cls, obs_size: int = GRID,
-             max_episode_steps: int | None = None) -> EnvSpec:
-        max_episode_steps = max_episode_steps or cls.default_max_steps
-        lo, hi = cls.score_bounds(max_episode_steps)
+    def spec(cls, obs_size: int = GRID) -> EnvSpec:
+        lo, hi = cls.score_bounds(cls.max_episode_steps)
         return EnvSpec(cls.name, obs_size, obs_size, NUM_ACTIONS,
-                       max_episode_steps, lo, hi)
+                       cls.max_episode_steps, lo, hi)
 
     @classmethod
     def score_bounds(cls, max_steps: int) -> tuple[float, float]:
@@ -207,7 +203,7 @@ class ChaseDot(GridGame):
     """
 
     name = "chase_dot"
-    default_max_steps = 128  # at 256 a random walk catches the dot too often
+    max_episode_steps = 128  # at 256 a random walk catches the dot too often
     _STATE_FIELDS = ("agent", "target")
 
     @classmethod
@@ -406,12 +402,11 @@ ENV_REGISTRY: dict[str, type[GridGame]] = {
 }
 
 
-def make_env(level: LevelSeed, obs_size: int = GRID,
-             max_episode_steps: int | None = None) -> GridGame:
+def make_env(level: LevelSeed, obs_size: int = GRID) -> GridGame:
     if level.env_name not in ENV_REGISTRY:
         raise KeyError(f"unknown environment {level.env_name!r}; "
                        f"known: {sorted(ENV_REGISTRY)}")
-    return ENV_REGISTRY[level.env_name](level, obs_size, max_episode_steps)
+    return ENV_REGISTRY[level.env_name](level, obs_size)
 
 
 class VecEnv:
@@ -423,21 +418,20 @@ class VecEnv:
 
     def __init__(self, env_name: str, num_envs: int, split: str,
                  num_train_levels: int, rng: Rng,
-                 obs_size: int = GRID, max_episode_steps: int | None = None):
+                 obs_size: int = GRID):
         self.env_name = env_name
         self.num_envs = num_envs
         self.split = split
         self.num_train_levels = num_train_levels
         self.obs_size = obs_size
-        self.max_episode_steps = max_episode_steps
         self._level_rngs = [rng.split("levels").split_index(i) for i in range(num_envs)]
         self.envs: list[GridGame] = [self._new_env(i) for i in range(num_envs)]
-        self.spec = self.envs[0].spec(obs_size, max_episode_steps)
+        self.spec = self.envs[0].spec(obs_size)
 
     def _new_env(self, i: int) -> GridGame:
         level = sample_level_seed(self.env_name, self.split,
                                   self.num_train_levels, self._level_rngs[i])
-        return make_env(level, self.obs_size, self.max_episode_steps)
+        return make_env(level, self.obs_size)
 
     def reset_all(self) -> np.ndarray:
         self.envs = [self._new_env(i) for i in range(self.num_envs)]
@@ -480,6 +474,6 @@ class VecEnv:
         self.envs = []
         for s in state["env_states"]:
             lv = LevelSeed(**s["level"])
-            env = make_env(lv, self.obs_size, self.max_episode_steps)
+            env = make_env(lv, self.obs_size)
             env.set_state(s)
             self.envs.append(env)

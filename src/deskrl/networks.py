@@ -23,6 +23,7 @@ from . import tensor as T
 from .rng import Rng
 from .tensor import Tensor
 
+OBS_CHANNELS = 3  # RGB
 STAGE_CHANNELS = (16, 32, 32)
 TRUNK_UNITS = 256
 
@@ -36,7 +37,6 @@ class BackboneConfig:
     width_multiplier: int = 1
     obs_height: int = 32
     obs_width: int = 32
-    obs_channels: int = 3
     num_actions: int = 5
 
     def validate(self) -> None:
@@ -57,8 +57,8 @@ class BackboneConfig:
     def input_channels(self) -> int:
         # 2D consumers see stacked frames as extra channels.
         if self.conv_kind == "conv2d":
-            return self.frames * self.obs_channels
-        return self.obs_channels
+            return self.frames * OBS_CHANNELS
+        return OBS_CHANNELS
 
 
 @dataclass
@@ -206,7 +206,7 @@ class PolicyValueNet:
 
         def drop(t: Tensor) -> Tensor:
             if mode == "train" and dropout_rate > 0.0:
-                return T.dropout(t, dropout_rate, "train", rng)
+                return T.dropout(t, dropout_rate, rng)
             return t
 
         for stage in self.stages:

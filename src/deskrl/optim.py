@@ -36,32 +36,32 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction and fixed betas and eps."""
 
-    def __init__(self, params: list[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

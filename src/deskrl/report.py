@@ -34,6 +34,8 @@ FULL_SCALE_REFERENCE = {
     "mean": (0.42, 0.64),
     "optimality_gap": (0.58, 0.36),
 }
+CONFIDENCE = 0.95
+BOOTSTRAP_SEED = 1234
 
 
 def read_metrics_csv(path) -> tuple[list[dict], int]:
@@ -99,14 +101,13 @@ def build_run_matrix(scores: dict) -> RunMatrix:
 
 
 def build_report(agent_dirs: dict, window: int = 100,
-                 num_resamples: int = 2000, confidence: float = 0.95,
-                 bootstrap_seed: int = 1234, stratified: bool = True) -> dict:
+                 num_resamples: int = 2000, stratified: bool = True) -> dict:
     """Aggregate several agents' run directories into one comparison report.
 
     agent_dirs maps agent label -> run directory. All agents must cover the
     same environment set.
     """
-    report: dict = {"window": window, "confidence": confidence,
+    report: dict = {"window": window, "confidence": CONFIDENCE,
                     "num_resamples": num_resamples, "agents": {},
                     "full_scale_reference": {
                         k: {"baseline": v[0], "scaled": v[1]}
@@ -119,8 +120,8 @@ def build_report(agent_dirs: dict, window: int = 100,
         matrix = build_run_matrix(scores)
         env_sets[label] = tuple(matrix.env_names)
         metrics = aggregate_with_ci(
-            matrix, num_resamples, confidence,
-            Rng(bootstrap_seed).split(f"agent:{label}"), stratified)
+            matrix, num_resamples, CONFIDENCE,
+            Rng(BOOTSTRAP_SEED).split(f"agent:{label}"), stratified)
         report["agents"][label] = {
             "metrics": asdict(metrics),
             "env_names": matrix.env_names,

@@ -70,22 +70,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Convenience arithmetic; constants are wrapped as untracked tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
     def __neg__(self):
         return mul(self, Tensor(np.asarray(-1.0)))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -459,18 +445,12 @@ def maxpool2x2(x: Tensor) -> Tensor:
 # dropout and categorical-distribution ops
 # ---------------------------------------------------------------------------
 
-def dropout(x: Tensor, rate: float, mode: str, rng: Optional[Rng] = None) -> Tensor:
-    """Inverted dropout: train-mode survivors are scaled by 1/(1-rate)."""
+def dropout(x: Tensor, rate: float, rng: Optional[Rng]) -> Tensor:
+    """Inverted dropout: survivors are scaled by 1/(1-rate)."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
-        def bw_id(g):
-            _accumulate(x, g)
-        return _make(x.data.copy(), (x,), bw_id)
     if rng is None:
-        raise ValueError("train-mode dropout requires an rng")
+        raise ValueError("dropout requires an rng")
     scale = 1.0 / (1.0 - rate)
     mask = (rng.random(x.shape) >= rate) * scale
 
@@ -522,8 +502,8 @@ def softmax_entropy(logits: Tensor) -> Tensor:
 def sample_categorical(logits: Tensor, rng: Rng):
     """Sample actions from softmax(logits) rowwise.
 
-    Returns (actions int array, logprob Tensor, entropy Tensor); the latter
-    two are differentiable w.r.t. the logits.
+    Returns (actions int array, logprob Tensor); the logprob is
+    differentiable w.r.t. the logits.
     """
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("non-finite logits")
@@ -532,4 +512,4 @@ def sample_categorical(logits: Tensor, rng: Rng):
     cdf = probs.cumsum(axis=1)
     actions = (cdf < u[:, None]).sum(axis=1)
     actions = np.minimum(actions, probs.shape[1] - 1)
-    return actions, categorical_logprob(logits, actions), softmax_entropy(logits)
+    return actions, categorical_logprob(logits, actions)

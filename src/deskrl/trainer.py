@@ -6,6 +6,11 @@ intervals. Writes a metrics CSV (one row per completed episode, train and
 eval) plus a JSON sidecar of per-update statistics, and can checkpoint and
 resume on update boundaries with bit-identical continuation.
 
+`TrainConfig` owns the per-cell settings: it checks every one of them at
+construction, whether it arrives from the CLI's YAML config or from a direct
+API call, and raises one `ValueError` listing every problem
+(`settings_problems`), so no invalid config reaches `train()`.
+
 Checkpoints are deskrl's one checkpoint format. Before it loads anything or
 touches `metrics.csv`, resume rejects a checkpoint whose `hp`/`config`
 (bar `total_steps`) or whose array names and shapes differ from this run's.
@@ -26,12 +31,27 @@ import numpy as np
 from .agents import Agent, AgentHyperparams
 from .envs import VecEnv, normalized_return
 from .rng import Rng
-from .rollout import Collector, FrameStack
+from .rollout import Collector
 from .serialize import read_container, write_container
 
-__all__ = ["TrainConfig", "train", "evaluate_policy", "METRICS_COLUMNS"]
+__all__ = ["TrainConfig", "settings_problems", "train", "evaluate_policy",
+           "METRICS_COLUMNS"]
 
 METRICS_COLUMNS = ("step", "split", "env", "seed", "episodic_return", "normalized_return")
+_POSITIVE_INT_SETTINGS = ("total_steps", "num_envs", "num_train_levels",
+                          "eval_interval", "eval_episodes", "obs_size")
+
+
+def settings_problems(values: dict) -> list[str]:
+    """Every problem with the `TrainConfig` settings in `values`, at once."""
+    problems = [f"{key} must be a positive integer" for key in _POSITIVE_INT_SETTINGS
+                if not isinstance(values.get(key), int) or values[key] <= 0]
+    interval = values.get("checkpoint_interval")
+    if not isinstance(interval, int) or interval < 0:
+        problems.append("checkpoint_interval must be a non-negative integer")
+    if values.get("eval_mode") not in ("thompson", "mean"):
+        problems.append("eval_mode must be 'thompson' or 'mean'")
+    return problems
 
 
 @dataclass
@@ -46,6 +66,11 @@ class TrainConfig:
     eval_mode: str = "thompson"  # "thompson" | "mean"
     obs_size: int = 16
     checkpoint_interval: int = 0  # updates between checkpoints; 0 disables
+
+    def __post_init__(self) -> None:
+        problems = settings_problems(vars(self))
+        if problems:
+            raise ValueError("invalid TrainConfig: " + "; ".join(problems))
 
     def resolved_horizon(self, hp: AgentHyperparams) -> int:
         h = hp.batch_size // self.num_envs
@@ -89,9 +114,7 @@ def evaluate_policy(agent: Agent, config: TrainConfig, eval_rng: Rng,
     vec = VecEnv(config.env, min(num_episodes, config.num_envs), "test",
                  config.num_train_levels, eval_rng.split("envs"),
                  obs_size=config.obs_size)
-    stack = FrameStack(agent.hp.frames, vec.num_envs,
-                       (vec.spec.obs_height, vec.spec.obs_width, 3))
-    stack.reset_all(vec.reset_all())
+    stack = Collector(vec, agent.hp.frames).stack
     action_rng = eval_rng.split("actions")
     dropout_rng = eval_rng.split("dropout")
     thompson = agent.hp.algo == "vsop" and config.eval_mode == "thompson"

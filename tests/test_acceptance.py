@@ -85,7 +85,7 @@ def _op_cases(rng):
 
     def frozen_dropout():
         drop_rng.set_state(drop_state)
-        return T.dropout(a, 0.35, "train", drop_rng)
+        return T.dropout(a, 0.35, drop_rng)
 
     return {
         "add": ([a, b], lambda: _weighted_sum(T.add(a, b), c_nm)),

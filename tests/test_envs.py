@@ -92,10 +92,12 @@ def test_obs_size_must_be_multiple_of_grid():
 
 
 def test_episode_truncates_at_max_steps():
-    env = make_env(level("blink_door", 2), max_episode_steps=7)
-    for _ in range(7):
+    env = make_env(level("blink_door", 2))
+    cap = env.spec().max_episode_steps
+    assert cap == 256
+    for _ in range(cap):
         res = env.step(0)  # noop far from the door never terminates early
-    assert res.done and env.t == 7
+    assert res.done and env.t == cap
 
 
 def test_unknown_env_name_raises():

@@ -284,8 +284,7 @@ def test_maxpool_3d_input_pools_spatially_only(rng):
 
 def test_dropout_eval_and_zero_rate_are_identity(rng):
     x = Tensor(rng.normal(size=(5, 7)))
-    np.testing.assert_array_equal(T.dropout(x, 0.5, "eval").data, x.data)
-    np.testing.assert_array_equal(T.dropout(x, 0.0, "train", rng).data, x.data)
+    np.testing.assert_array_equal(T.dropout(x, 0.0, rng).data, x.data)
 
 
 def test_dropout_preserves_mean_within_binomial_bound():
@@ -293,14 +292,14 @@ def test_dropout_preserves_mean_within_binomial_bound():
     # ones is sqrt(rate/(1-rate))/sqrt(n); require agreement within 4 SE.
     rate, n = 0.3, 200_000
     x = Tensor(np.ones(n))
-    out = T.dropout(x, rate, "train", Rng(99))
+    out = T.dropout(x, rate, Rng(99))
     se = math.sqrt(rate / (1.0 - rate) / n)
     assert abs(out.data.mean() - 1.0) < 4 * se
 
 
 def test_dropout_backward_uses_same_mask():
     x = Tensor(np.ones(1000), requires_grad=True)
-    out = T.dropout(x, 0.5, "train", Rng(7))
+    out = T.dropout(x, 0.5, Rng(7))
     T.tsum(out).backward()
     np.testing.assert_array_equal(x.grad, out.data)  # mask * 1 either way
 
@@ -308,13 +307,11 @@ def test_dropout_backward_uses_same_mask():
 def test_dropout_validation():
     x = Tensor(np.ones(3))
     with pytest.raises(ValueError):
-        T.dropout(x, 1.0, "train", Rng(0))
+        T.dropout(x, 1.0, Rng(0))
     with pytest.raises(ValueError):
-        T.dropout(x, -0.1, "train", Rng(0))
+        T.dropout(x, -0.1, Rng(0))
     with pytest.raises(ValueError):
-        T.dropout(x, 0.5, "predict", Rng(0))
-    with pytest.raises(ValueError):
-        T.dropout(x, 0.5, "train", None)
+        T.dropout(x, 0.5, None)
 
 
 # -- categorical ops --------------------------------------------------------
@@ -353,7 +350,7 @@ def test_sample_categorical_frequencies_match_probs():
     counts = np.zeros(3)
     n = 20_000
     for _ in range(200):
-        acts, _, _ = T.sample_categorical(Tensor(np.repeat(logits, 100, 0)), r)
+        acts, _ = T.sample_categorical(Tensor(np.repeat(logits, 100, 0)), r)
         counts += np.bincount(acts, minlength=3)
     freq = counts / n
     # 4-sigma binomial bound per category
@@ -363,8 +360,8 @@ def test_sample_categorical_frequencies_match_probs():
 
 def test_sample_categorical_deterministic_and_validates():
     logits = Tensor(Rng(1).normal(size=(6, 4)))
-    a1, _, _ = T.sample_categorical(logits, Rng(5).split("s"))
-    a2, _, _ = T.sample_categorical(logits, Rng(5).split("s"))
+    a1, _ = T.sample_categorical(logits, Rng(5).split("s"))
+    a2, _ = T.sample_categorical(logits, Rng(5).split("s"))
     np.testing.assert_array_equal(a1, a2)
     with pytest.raises(ValueError):
         T.sample_categorical(Tensor(np.array([[np.nan, 0.0]])), Rng(0))

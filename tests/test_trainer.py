@@ -38,6 +38,18 @@ def test_horizon_must_tile_batch():
     assert small_config().resolved_horizon(SMALL_HP) == 32
 
 
+def test_train_config_rejects_invalid_settings():
+    # eval_interval=0 used to make train() loop forever, and eval_mode="greedy"
+    # to run silently; every problem is reported in one error at construction.
+    with pytest.raises(ValueError) as err:
+        small_config(num_envs=0, eval_interval=0, eval_episodes=0, eval_mode="greedy")
+    msg = str(err.value)
+    for key in ("num_envs", "eval_interval", "eval_episodes", "eval_mode"):
+        assert key in msg, key
+    with pytest.raises(ValueError, match="checkpoint_interval"):
+        small_config(checkpoint_interval=-1)
+
+
 def test_train_writes_metrics_and_update_log(tmp_path):
     out = tmp_path / "run"
     summary = train(small_config(), SMALL_HP, out)
