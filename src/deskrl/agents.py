@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .networks import BackboneConfig, PolicyValueNet
+from .networks import PolicyValueNet
 from .optim import Adam, clip_grad_norm
 from .rng import Rng
 from .rollout import RolloutBuffer
@@ -25,12 +25,32 @@ from .tensor import Tensor
 __all__ = ["AgentHyperparams", "UpdateStats", "PRESETS", "preset", "Agent"]
 
 
+_POSITIVE_INT_FIELDS = ("frames", "width_multiplier", "batch_size",
+                        "epochs_per_update", "num_minibatches")
+_RANGE_FIELDS = (
+    ("gamma", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("gae_lambda", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("learning_rate", lambda v: v > 0.0, "must be > 0"),
+    ("max_grad_norm", lambda v: v > 0.0, "must be > 0"),
+    ("dropout_rate", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    ("entropy_coeff", lambda v: v >= 0.0, "must be >= 0"),
+    ("value_loss_coeff", lambda v: v >= 0.0, "must be >= 0"),
+)
+
+
 @dataclass(frozen=True)
 class AgentHyperparams:
+    """One cell of the hyperparameter table, checked when it is built.
+
+    `__post_init__` raises one `ValueError` listing every problem, so an
+    invalid set (a preset, an override through `dataclasses.replace`, or a
+    direct construction) never reaches an `Agent` or a network.
+    """
+
     algo: str  # "ppo" | "vsop"
     frames: int
     width_multiplier: int
-    conv_kind: str
+    conv_kind: str  # "conv2d" | "conv3d"
     learning_rate: float
     batch_size: int
     epochs_per_update: int
@@ -45,23 +65,36 @@ class AgentHyperparams:
     dropout_rate: float
     num_minibatches: int = 8  # not a table cell; split of batch per epoch
 
-    def validate(self) -> None:
-        if self.algo not in ("ppo", "vsop"):
-            raise ValueError(f"unknown algo {self.algo!r}")
+    def __post_init__(self) -> None:
+        v = vars(self)
+        bad_ints = [key for key in _POSITIVE_INT_FIELDS
+                    if not isinstance(v[key], int) or v[key] <= 0]
+        problems = [f"{key} must be a positive integer" for key in bad_ints]
+        if self.conv_kind not in ("conv2d", "conv3d"):
+            problems.append("conv_kind must be 'conv2d' or 'conv3d'")
+        problems += [f"{key} {rule}" for key, ok, rule in _RANGE_FIELDS
+                     if not isinstance(v[key], (int, float)) or not ok(v[key])]
         if self.algo == "ppo":
-            if self.dropout_rate > 0.0:
-                raise ValueError("ppo configs forbid dropout")
+            if self.dropout_rate != 0.0:
+                problems.append("ppo configs forbid dropout")
             if self.clip_coeff is None:
-                raise ValueError("ppo configs require a clip coefficient")
-        else:
+                problems.append("ppo configs require a clip coefficient")
+            elif not isinstance(self.clip_coeff, (int, float)) or not self.clip_coeff > 0.0:
+                problems.append("clip_coeff must be > 0")
+        elif self.algo == "vsop":
             if self.clip_coeff is not None:
-                raise ValueError("vsop configs have no ratio clipping (N/A)")
+                problems.append("vsop configs have no ratio clipping (N/A)")
             if self.normalize_advantages:
-                raise ValueError("vsop configs do not normalize advantages (N/A)")
+                problems.append("vsop configs do not normalize advantages (N/A)")
             if self.clip_value_loss:
-                raise ValueError("vsop configs do not clip the value loss (N/A)")
-        if self.batch_size % self.num_minibatches:
-            raise ValueError("batch_size must divide evenly into minibatches")
+                problems.append("vsop configs do not clip the value loss (N/A)")
+        else:
+            problems.append(f"unknown algo {self.algo!r}")
+        if ("batch_size" not in bad_ints and "num_minibatches" not in bad_ints
+                and self.batch_size % self.num_minibatches):
+            problems.append("batch_size must divide evenly into minibatches")
+        if problems:
+            raise ValueError("invalid AgentHyperparams: " + "; ".join(problems))
 
     @property
     def minibatch_size(self) -> int:
@@ -125,13 +158,8 @@ class Agent:
     """A policy/value network plus its optimizer and update rule."""
 
     def __init__(self, hp: AgentHyperparams, obs_size: int, num_actions: int, rng: Rng):
-        hp.validate()
         self.hp = hp
-        self.config = BackboneConfig(
-            frames=hp.frames, conv_kind=hp.conv_kind,
-            width_multiplier=hp.width_multiplier,
-            obs_height=obs_size, obs_width=obs_size, num_actions=num_actions)
-        self.net = PolicyValueNet(self.config, rng.split("net"))
+        self.net = PolicyValueNet(hp, obs_size, num_actions, rng.split("net"))
         self.optimizer = Adam(self.net.params(), lr=hp.learning_rate)
         self._action_rng = rng.split("actions")
         self._dropout_rng = rng.split("dropout")
@@ -139,24 +167,21 @@ class Agent:
 
     # -- action selection -------------------------------------------------
 
-    def select_action(self, stacked_frames: np.ndarray, thompson: bool | None = None,
+    def select_action(self, stacked_frames: np.ndarray, thompson: bool = True,
                       action_rng: Rng | None = None, dropout_rng: Rng | None = None):
         """Choose actions for a batch of frame stacks (E, k, H, W, C).
 
-        VSOP runs the network in train mode so the dropout mask samples a
-        subnetwork per decision; PPO runs in eval mode. Returns numpy
-        (actions, logprobs, values). Callers (e.g. evaluation) may supply
-        their own rng streams so they cannot perturb the training streams.
+        With `thompson` the network runs in train mode, so VSOP's dropout
+        mask samples a subnetwork per decision; PPO has no dropout, so its
+        train-mode forward draws nothing and equals eval mode.
+        `thompson=False` runs an eval-mode (mean network) forward. Returns
+        numpy (actions, logprobs, values). Callers (e.g. evaluation) may
+        supply their own rng streams so they cannot perturb the training
+        streams.
         """
         x = self.net.format_obs(stacked_frames)
-        if thompson is None:
-            thompson = self.hp.algo == "vsop"
-        if thompson and self.hp.dropout_rate > 0.0:
-            out = self.net.forward(x, mode="train",
-                                   dropout_rate=self.hp.dropout_rate,
-                                   rng=dropout_rng or self._dropout_rng)
-        else:
-            out = self.net.forward(x, mode="eval")
+        out = self.net.forward(x, mode="train" if thompson else "eval",
+                               rng=dropout_rng or self._dropout_rng)
         actions, logprob = T.sample_categorical(
             out.logits, action_rng or self._action_rng)
         return actions, logprob.data.copy(), out.value.data.copy()
@@ -190,16 +215,9 @@ class Agent:
         out.validate()
         return out
 
-    def _forward_train(self, obs_stacks: np.ndarray):
-        x = self.net.format_obs(obs_stacks)
-        if self.hp.algo == "vsop":
-            return self.net.forward(x, mode="train",
-                                    dropout_rate=self.hp.dropout_rate,
-                                    rng=self._dropout_rng)
-        return self.net.forward(x, mode="train")
-
     def _update_minibatch(self, mb: dict[str, np.ndarray]) -> UpdateStats:
-        out = self._forward_train(mb["obs"])
+        out = self.net.forward(self.net.format_obs(mb["obs"]), mode="train",
+                               rng=self._dropout_rng)
         new_lp = T.categorical_logprob(out.logits, mb["actions"])
         entropy = T.tmean(T.softmax_entropy(out.logits))
         if self.hp.algo == "ppo":

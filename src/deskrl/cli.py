@@ -2,8 +2,10 @@
 
 Configs are YAML key-value files validated up front (all problems reported
 at once); CLI flags override file values. The per-cell settings take their
-defaults and their checks from `trainer.TrainConfig`, which checks them the
-same way whether they arrive here or through the API. Runs are laid out as
+defaults and their checks from `trainer.TrainConfig`, and the
+hyperparameters, `hyperparam_overrides` included, are checked by
+`agents.AgentHyperparams` when the overridden set is built, so every
+problem is reported before any file is written. Runs are laid out as
 <output_dir>/<env>/seed<k>/ with a manifest.json recording the config hash,
 per-seed status, and the complete file inventory. Errors exit nonzero with
 a machine-readable JSON object on stderr.
@@ -63,11 +65,8 @@ class RunConfig:
     output_dir: str | None
 
     def hyperparams(self) -> AgentHyperparams:
-        hp = preset(self.preset)
-        if self.hyperparam_overrides:
-            hp = dataclasses.replace(hp, **self.hyperparam_overrides)
-        hp.validate()
-        return hp
+        # replace() re-runs AgentHyperparams' checks on the overridden set.
+        return dataclasses.replace(preset(self.preset), **self.hyperparam_overrides)
 
     def resolved_output_dir(self) -> str:
         if self.output_dir:
@@ -113,6 +112,17 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     problems += settings_problems(raw)
     if not isinstance(raw.get("window"), int) or raw["window"] <= 0:
         problems.append("window must be a positive integer")
+    if raw.get("preset") in PRESETS:
+        try:
+            hp = dataclasses.replace(PRESETS[raw["preset"]],
+                                     **(raw["hyperparam_overrides"] or {}))
+        except (TypeError, ValueError) as exc:
+            problems.append(f"hyperparam_overrides: {exc}")
+        else:
+            num_envs = raw.get("num_envs")
+            if isinstance(num_envs, int) and num_envs > 0 and hp.batch_size % num_envs:
+                problems.append(f"batch_size {hp.batch_size} must be a multiple of "
+                                f"num_envs {num_envs}")
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
 
@@ -123,7 +133,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig(**{
         **raw, "envs": list(envs), "seeds": [int(s) for s in seeds],
         "hyperparam_overrides": raw["hyperparam_overrides"] or {}})
-    cfg.hyperparams()  # raises on inconsistent overrides
     return cfg
 
 
@@ -224,8 +233,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    mutations = set(args.mutate or [])
-    results = run_selfcheck(mutations)
+    results = run_selfcheck()
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"[selfcheck] {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -304,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_aggregate)
 
     s = sub.add_parser("selfcheck", help="run the fast oracle battery")
-    s.add_argument("--mutate", action="append", metavar="OP",
-                   help="deliberately corrupt an op (test fixture)")
     s.set_defaults(fn=cmd_selfcheck)
 
     ab = sub.add_parser("ablate", help="ppo vs ppo3d vs vsop vs vsop3d comparison")

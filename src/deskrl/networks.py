@@ -9,8 +9,12 @@ kernel extent 3 (stride 1, padding 1) in every conv so the depth is
 preserved through the trunk, pools spatially only, and averages over the
 temporal axis before the flatten.
 
-Dropout sits after each residual block and after the dense trunk layer; it
-is active only in train-mode forward passes.
+The network is built straight from checked hyperparameters (an
+`agents.AgentHyperparams`, or any object with its `frames`, `conv_kind`,
+`width_multiplier` and `dropout_rate`); its only check of its own is the
+observation geometry. It owns the dropout rate: dropout sits after each
+residual block and after the dense trunk layer, and runs at that rate in
+train-mode forward passes only, so a rate-0 network (PPO) draws nothing.
 """
 
 from __future__ import annotations
@@ -27,38 +31,7 @@ OBS_CHANNELS = 3  # RGB
 STAGE_CHANNELS = (16, 32, 32)
 TRUNK_UNITS = 256
 
-__all__ = ["BackboneConfig", "PolicyValueOutput", "PolicyValueNet"]
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    frames: int = 1
-    conv_kind: str = "conv2d"  # "conv2d" | "conv3d"
-    width_multiplier: int = 1
-    obs_height: int = 32
-    obs_width: int = 32
-    num_actions: int = 5
-
-    def validate(self) -> None:
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
-        if self.conv_kind not in ("conv2d", "conv3d"):
-            raise ValueError(f"unknown conv_kind {self.conv_kind!r}")
-        if self.width_multiplier < 1:
-            raise ValueError("width_multiplier must be >= 1")
-        if self.obs_height % 8 or self.obs_width % 8 or min(self.obs_height, self.obs_width) < 8:
-            raise ValueError(
-                f"observation {self.obs_height}x{self.obs_width} too small for "
-                "three stride-2 pools (extents must be multiples of 8)")
-        if self.num_actions < 1:
-            raise ValueError("num_actions must be >= 1")
-
-    @property
-    def input_channels(self) -> int:
-        # 2D consumers see stacked frames as extra channels.
-        if self.conv_kind == "conv2d":
-            return self.frames * OBS_CHANNELS
-        return OBS_CHANNELS
+__all__ = ["PolicyValueOutput", "PolicyValueNet"]
 
 
 @dataclass
@@ -120,16 +93,22 @@ class DenseLayer:
 class PolicyValueNet:
     """IMPALA-style backbone with categorical policy and scalar value heads."""
 
-    def __init__(self, config: BackboneConfig, rng: Rng):
-        config.validate()
-        self.config = config
-        w = config.width_multiplier
-        kind = config.conv_kind
+    def __init__(self, hp, obs_size: int, num_actions: int, rng: Rng):
+        if obs_size % 8 or obs_size < 8:
+            raise ValueError(
+                f"observation {obs_size}x{obs_size} too small for three stride-2 "
+                "pools (extents must be multiples of 8)")
+        self.frames = hp.frames
+        self.conv_kind = kind = hp.conv_kind
+        self.dropout_rate = hp.dropout_rate
+        # 2D consumers see stacked frames as extra channels.
+        self.input_channels = hp.frames * OBS_CHANNELS if kind == "conv2d" else OBS_CHANNELS
+        w = hp.width_multiplier
         init = rng.split("init")
         gain = float(np.sqrt(2.0))
 
         self.stages: list[dict] = []
-        in_ch = config.input_channels
+        in_ch = self.input_channels
         for si, base in enumerate(STAGE_CHANNELS):
             out_ch = base * w
             stage = {
@@ -144,9 +123,9 @@ class PolicyValueNet:
             self.stages.append(stage)
             in_ch = out_ch
 
-        flat = in_ch * (config.obs_height // 8) * (config.obs_width // 8)
+        flat = in_ch * (obs_size // 8) ** 2
         self.trunk = DenseLayer("trunk", flat, TRUNK_UNITS * w, init, gain)
-        self.policy_head = DenseLayer("policy", TRUNK_UNITS * w, config.num_actions, init, 0.01)
+        self.policy_head = DenseLayer("policy", TRUNK_UNITS * w, num_actions, init, 0.01)
         self.value_head = DenseLayer("value", TRUNK_UNITS * w, 1, init, 1.0)
 
     # -- parameter registry ----------------------------------------------
@@ -188,25 +167,26 @@ class PolicyValueNet:
         if frames.ndim != 5:
             raise T.ShapeError(f"expected (N, k, H, W, C) frame stack, got {frames.shape}")
         n, k, h, wd, c = frames.shape
-        if k != self.config.frames:
-            raise T.ShapeError(f"stack depth {k} != configured frames {self.config.frames}")
-        if self.config.conv_kind == "conv2d":
+        if k != self.frames:
+            raise T.ShapeError(f"stack depth {k} != configured frames {self.frames}")
+        if self.conv_kind == "conv2d":
             return np.ascontiguousarray(
                 frames.transpose(0, 1, 4, 2, 3).reshape(n, k * c, h, wd))
         return np.ascontiguousarray(frames.transpose(0, 4, 1, 2, 3))
 
     def forward(self, obs_batch, mode: str = "eval",
-                dropout_rate: float = 0.0, rng: Rng | None = None) -> PolicyValueOutput:
+                rng: Rng | None = None) -> PolicyValueOutput:
+        """`mode="train"` drops out at the network's rate, drawing from `rng`."""
         x = obs_batch if isinstance(obs_batch, Tensor) else Tensor(obs_batch)
-        expected_ndim = 4 if self.config.conv_kind == "conv2d" else 5
-        if x.data.ndim != expected_ndim or x.shape[1] != self.config.input_channels:
+        expected_ndim = 4 if self.conv_kind == "conv2d" else 5
+        if x.data.ndim != expected_ndim or x.shape[1] != self.input_channels:
             raise T.ShapeError(
-                f"obs batch shape {x.shape} does not match config "
-                f"(want {expected_ndim}-D with {self.config.input_channels} channels)")
+                f"obs batch shape {x.shape} does not match the network "
+                f"(want {expected_ndim}-D with {self.input_channels} channels)")
 
         def drop(t: Tensor) -> Tensor:
-            if mode == "train" and dropout_rate > 0.0:
-                return T.dropout(t, dropout_rate, rng)
+            if mode == "train" and self.dropout_rate > 0.0:
+                return T.dropout(t, self.dropout_rate, rng)
             return t
 
         for stage in self.stages:
@@ -217,7 +197,7 @@ class PolicyValueNet:
                 x = T.add(x, y)
                 x = drop(x)
 
-        if self.config.conv_kind == "conv3d":
+        if self.conv_kind == "conv3d":
             x = T.mean_axis(x, 2)  # collapse the temporal axis
         n = x.shape[0]
         x = T.reshape(x, (n, int(np.prod(x.shape[1:]))))

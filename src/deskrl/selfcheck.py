@@ -3,10 +3,6 @@
 Each check compares a library computation against an independent oracle
 (naive loops, finite differences, brute-force definitions) and reports one
 pass/fail line. The whole battery runs in well under two minutes.
-
-`mutations` deliberately corrupts a named operation before checking it, so
-the harness itself can be tested: a corrupted op must produce a failing
-line naming that op.
 """
 
 from __future__ import annotations
@@ -50,13 +46,7 @@ def naive_conv(x: np.ndarray, k: np.ndarray, stride, pad) -> np.ndarray:
     return out
 
 
-def _maybe_mutate(result: np.ndarray, op: str, mutations: set[str]) -> np.ndarray:
-    if op in mutations:
-        return np.roll(result, 1, axis=-1)  # simulate an off-by-one index bug
-    return result
-
-
-def _check_conv(ndim: int, rng: Rng, mutations: set[str]) -> CheckResult:
+def _check_conv(ndim: int, rng: Rng) -> CheckResult:
     name = f"conv{ndim}d"
     worst = 0.0
     for _ in range(10):
@@ -69,7 +59,7 @@ def _check_conv(ndim: int, rng: Rng, mutations: set[str]) -> CheckResult:
         k = rng.normal(size=(o, c) + ksh)
         spec = T.ConvSpec(ksh, stride, pad, c, o)
         op = T.conv2d if ndim == 2 else T.conv3d
-        got = _maybe_mutate(op(T.Tensor(x), T.Tensor(k), spec).data, name, mutations)
+        got = op(T.Tensor(x), T.Tensor(k), spec).data
         worst = max(worst, float(np.abs(got - naive_conv(x, k, stride, pad)).max()))
     return CheckResult(name, worst < 1e-12, f"max abs err vs naive loop oracle: {worst:.2e}")
 
@@ -181,13 +171,12 @@ def _check_stats(rng: Rng) -> list[CheckResult]:
     ]
 
 
-def run_selfcheck(mutations: set[str] | None = None) -> list[CheckResult]:
-    mutations = mutations or set()
+def run_selfcheck() -> list[CheckResult]:
     rng = Rng(20240817)
     t0 = time.time()
     results: list[CheckResult] = []
-    results.append(_check_conv(2, rng.split("conv2d"), mutations))
-    results.append(_check_conv(3, rng.split("conv3d"), mutations))
+    results.append(_check_conv(2, rng.split("conv2d")))
+    results.append(_check_conv(3, rng.split("conv3d")))
     results.append(_check_conv3d_depth1(rng.split("depth1")))
     results.extend(_check_gradients(rng.split("grad")))
     results.append(_check_gae(rng.split("gae")))

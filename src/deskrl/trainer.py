@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .agents import Agent, AgentHyperparams
-from .envs import VecEnv, normalized_return
+from .envs import GRID, NUM_ACTIONS, VecEnv, normalized_return
 from .rng import Rng
 from .rollout import Collector
 from .serialize import read_container, write_container
@@ -46,6 +46,8 @@ def settings_problems(values: dict) -> list[str]:
     """Every problem with the `TrainConfig` settings in `values`, at once."""
     problems = [f"{key} must be a positive integer" for key in _POSITIVE_INT_SETTINGS
                 if not isinstance(values.get(key), int) or values[key] <= 0]
+    if isinstance(values.get("obs_size"), int) and values["obs_size"] % GRID:
+        problems.append(f"obs_size must be a multiple of {GRID}")
     interval = values.get("checkpoint_interval")
     if not isinstance(interval, int) or interval < 0:
         problems.append("checkpoint_interval must be a non-negative integer")
@@ -117,7 +119,7 @@ def evaluate_policy(agent: Agent, config: TrainConfig, eval_rng: Rng,
     stack = Collector(vec, agent.hp.frames).stack
     action_rng = eval_rng.split("actions")
     dropout_rng = eval_rng.split("dropout")
-    thompson = agent.hp.algo == "vsop" and config.eval_mode == "thompson"
+    thompson = config.eval_mode == "thompson"
     returns: list[float] = []
     # Step until the num_episodes-th episode completes, and no further.
     while len(returns) < num_episodes:
@@ -173,10 +175,10 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
     (ckpt_update<k>.bin). `resume_from` restores a checkpoint written by
     this function and continues as if uninterrupted.
     """
-    os.makedirs(out_dir, exist_ok=True)
     horizon = config.resolved_horizon(hp)
+    os.makedirs(out_dir, exist_ok=True)
     root = Rng(config.seed)
-    agent = Agent(hp, config.obs_size, num_actions=5, rng=root.split("agent"))
+    agent = Agent(hp, config.obs_size, NUM_ACTIONS, root.split("agent"))
 
     vec = VecEnv(config.env, config.num_envs, "train", config.num_train_levels,
                  root.split("train_envs"), obs_size=config.obs_size)

@@ -21,7 +21,7 @@ import yaml
 from deskrl import tensor as T
 from deskrl.agents import PRESETS, preset
 from deskrl.cli import load_run_config, main, run_training
-from deskrl.networks import BackboneConfig, PolicyValueNet
+from deskrl.networks import PolicyValueNet
 from deskrl.report import collect_run_scores
 from deskrl.rng import Rng
 from deskrl.rollout import compute_gae
@@ -364,17 +364,15 @@ def test_criterion_7_preset_table_fidelity():
 # =========================================================================
 
 def test_criterion_8_scaling_fidelity():
+    def net(**kw):
+        return PolicyValueNet(dataclasses.replace(preset("ppo"), **kw), 16, 5, Rng(0))
+
     for kind, frames in (("conv2d", 1), ("conv3d", 8)):
-        base = PolicyValueNet(BackboneConfig(
-            frames=frames, conv_kind=kind, width_multiplier=1,
-            obs_height=16, obs_width=16), Rng(0))
-        wide = PolicyValueNet(BackboneConfig(
-            frames=frames, conv_kind=kind, width_multiplier=2,
-            obs_height=16, obs_width=16), Rng(0))
+        base = net(frames=frames, conv_kind=kind, width_multiplier=1)
+        wide = net(frames=frames, conv_kind=kind, width_multiplier=2)
         for b, w in zip(base.conv_layers(), wide.conv_layers()):
             assert w.out_channels == 2 * b.out_channels, b.name
-    stacked = PolicyValueNet(BackboneConfig(
-        frames=8, conv_kind="conv2d", obs_height=16, obs_width=16), Rng(0))
+    stacked = net(frames=8, conv_kind="conv2d")
     assert stacked.conv_layers()[0].spec.in_channels == 24
     print("\n[criterion 8] PASS width x2 doubles all 15 conv layers' output "
           "channels (2D and 3D); frames=8 conv2d first layer has 24 input "

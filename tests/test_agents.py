@@ -33,31 +33,54 @@ def test_preset_lookup():
 
 
 def test_all_presets_validate():
+    # replace() rebuilds each preset, re-running every check.
     for hp in PRESETS.values():
-        hp.validate()
+        assert dataclasses.replace(hp) == hp
 
 
 def test_ppo_forbids_dropout_and_requires_clip():
     with pytest.raises(ValueError, match="dropout"):
-        dataclasses.replace(preset("ppo"), dropout_rate=0.1).validate()
+        dataclasses.replace(preset("ppo"), dropout_rate=0.1)
     with pytest.raises(ValueError, match="clip"):
-        dataclasses.replace(preset("ppo"), clip_coeff=None).validate()
+        dataclasses.replace(preset("ppo"), clip_coeff=None)
 
 
 def test_vsop_forbids_ppo_only_fields():
     with pytest.raises(ValueError, match="clipping"):
-        dataclasses.replace(preset("vsop"), clip_coeff=0.2).validate()
+        dataclasses.replace(preset("vsop"), clip_coeff=0.2)
     with pytest.raises(ValueError, match="normalize"):
-        dataclasses.replace(preset("vsop"), normalize_advantages=True).validate()
+        dataclasses.replace(preset("vsop"), normalize_advantages=True)
     with pytest.raises(ValueError, match="value loss"):
-        dataclasses.replace(preset("vsop"), clip_value_loss=True).validate()
+        dataclasses.replace(preset("vsop"), clip_value_loss=True)
 
 
 def test_minibatch_split_must_be_even():
     with pytest.raises(ValueError, match="minibatch"):
-        dataclasses.replace(preset("ppo"), batch_size=100,
-                            num_minibatches=3).validate()
+        dataclasses.replace(preset("ppo"), batch_size=100, num_minibatches=3)
     assert preset("ppo").minibatch_size == 2048 // 8
+
+
+def test_construction_reports_every_problem_at_once():
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(preset("vsop"), frames=0, gamma=2.0, learning_rate=0.0)
+    msg = str(err.value)
+    assert msg.count("invalid AgentHyperparams") == 1
+    for frag in ("frames must be a positive integer", "gamma must lie in [0, 1]",
+                 "learning_rate must be > 0"):
+        assert frag in msg, frag
+
+
+@pytest.mark.parametrize("name,field,value", [
+    ("vsop", "algo", "dqn"), ("vsop", "conv_kind", "conv4d"),
+    ("vsop", "width_multiplier", 0), ("vsop", "batch_size", 0),
+    ("vsop", "epochs_per_update", 0), ("vsop", "num_minibatches", 0),
+    ("vsop", "frames", 1.5), ("vsop", "gamma", -0.1), ("vsop", "gae_lambda", 1.5),
+    ("vsop", "max_grad_norm", 0.0), ("vsop", "dropout_rate", 1.0),
+    ("vsop", "learning_rate", float("nan")), ("vsop", "entropy_coeff", -1.0),
+    ("vsop", "value_loss_coeff", "x"), ("ppo", "clip_coeff", -0.2)])
+def test_construction_rejects_each_bad_field(name, field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(preset(name), **{field: value})
 
 
 # -- loss oracles ------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from deskrl import cli, tensor
 from deskrl.cli import load_run_config, main
 
 SMALL_CONFIG = {
@@ -125,21 +127,55 @@ def test_train_preset_and_set_flags_override_config(tmp_path):
     assert list(manifest["status"]) == ["chase_dot/seed5"]
 
 
-def test_failed_seed_is_recorded_in_manifest(tmp_path):
+BAD_CONFIGS = [
+    ({"hyperparam_overrides": {"learning_rate": -1.0}}, "learning_rate"),
+    ({"hyperparam_overrides": {"frames": 0}}, "frames"),
+    ({"hyperparam_overrides": {"conv_kind": "conv4d"}}, "conv_kind"),
+    ({"hyperparam_overrides": {"epochs_per_update": 0}}, "epochs_per_update"),
+    ({"hyperparam_overrides": {"gamma": 2.0}}, "gamma"),
+    ({"hyperparam_overrides": {"width_multiplier": 0}}, "width_multiplier"),
+    ({"hyperparam_overrides": {"max_grad_norm": 0.0}}, "max_grad_norm"),
+    ({"obs_size": 24}, "obs_size"),
+    ({"num_envs": 7}, "num_envs"),
+]
+
+
+@pytest.mark.parametrize("over,setting", BAD_CONFIGS,
+                         ids=[setting for _, setting in BAD_CONFIGS])
+def test_bad_config_fails_before_any_file_is_written(tmp_path, capsys, over, setting):
+    out = tmp_path / "run"
+    over = {"preset": "ppo", "output_dir": str(out), **over}
+    over["hyperparam_overrides"] = {**SMALL_CONFIG["hyperparam_overrides"],
+                                    **over.get("hyperparam_overrides", {})}
+    assert main(["train", write_config(tmp_path, **over)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert setting in payload["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_failed_seed_is_recorded_in_manifest(tmp_path, monkeypatch):
     out = tmp_path / "run3"
-    # horizon cannot tile the batch: training raises after the manifest
-    # marks the seed running, so the failure status must be persisted
-    cfg_path = write_config(tmp_path, num_envs=7, output_dir=str(out))
+    # training raises after the manifest marks the seed running, so the
+    # failure status must be persisted
+    def broken_train(*args, **kwargs):
+        raise RuntimeError("cell failed")
+    monkeypatch.setattr(cli, "train", broken_train)
+    cfg_path = write_config(tmp_path, output_dir=str(out))
     assert main(["train", cfg_path]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"]["chase_dot/seed0"] == "failed"
 
 
-def test_selfcheck_passes_and_mutation_is_caught(capsys):
+def test_selfcheck_passes_and_mutation_is_caught(capsys, monkeypatch):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out and "FAIL" not in out
-    assert main(["selfcheck", "--mutate", "conv2d"]) == 1
+    # A taped but wrong conv2d (off by a constant) must fail its oracle check.
+    conv2d = tensor.conv2d
+    monkeypatch.setattr(tensor, "conv2d", lambda x, k, spec: tensor.add(
+        conv2d(x, k, spec), tensor.Tensor(np.asarray(1e-3))))
+    assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
     assert "FAIL conv2d" in out
 

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from deskrl.networks import BackboneConfig, PolicyValueNet
+from deskrl.agents import preset
+from deskrl.networks import PolicyValueNet
 from deskrl.rng import Rng
 from deskrl.tensor import ShapeError, Tensor, tsum, add
 
 
-def make_net(**kw):
-    cfg = BackboneConfig(obs_height=16, obs_width=16, **kw)
-    return PolicyValueNet(cfg, Rng(0))
+def make_net(name="ppo", obs_size=16, **kw):
+    hp = dataclasses.replace(preset(name), **kw)
+    return PolicyValueNet(hp, obs_size, 5, Rng(0))
 
 
 def frames_batch(n, k, size=16):
@@ -18,22 +21,22 @@ def frames_batch(n, k, size=16):
 # -- configuration ----------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BackboneConfig(frames=0).validate()
-    with pytest.raises(ValueError):
-        BackboneConfig(conv_kind="conv4d").validate()
-    with pytest.raises(ValueError):
-        BackboneConfig(width_multiplier=0).validate()
-    with pytest.raises(ValueError):
-        BackboneConfig(obs_height=12, obs_width=12).validate()
-    BackboneConfig(obs_height=16, obs_width=16).validate()
+    with pytest.raises(ValueError, match="frames"):
+        make_net(frames=0)
+    with pytest.raises(ValueError, match="conv_kind"):
+        make_net(conv_kind="conv4d")
+    with pytest.raises(ValueError, match="width_multiplier"):
+        make_net(width_multiplier=0)
+    with pytest.raises(ValueError, match="multiples of 8"):
+        make_net(obs_size=12)
+    make_net(obs_size=8)
 
 
 def test_input_channels_2d_stacks_frames_3d_does_not():
-    assert BackboneConfig(frames=1, conv_kind="conv2d").input_channels == 3
-    assert BackboneConfig(frames=8, conv_kind="conv2d").input_channels == 24
-    assert BackboneConfig(frames=8, conv_kind="conv3d").input_channels == 3
-    assert BackboneConfig(frames=16, conv_kind="conv3d").input_channels == 3
+    assert make_net(frames=1, conv_kind="conv2d").input_channels == 3
+    assert make_net(frames=8, conv_kind="conv2d").input_channels == 24
+    assert make_net(frames=8, conv_kind="conv3d").input_channels == 3
+    assert make_net(frames=16, conv_kind="conv3d").input_channels == 3
 
 
 # -- width and frame scaling ------------------------------------------------
@@ -123,12 +126,22 @@ def test_eval_forward_is_deterministic():
 
 
 def test_train_dropout_changes_output():
-    net = make_net()
+    net = make_net("vsop", dropout_rate=0.3)
     x = net.format_obs(frames_batch(3, 1))
     rng = Rng(5)
-    o1 = net.forward(x, mode="train", dropout_rate=0.3, rng=rng)
-    o2 = net.forward(x, mode="train", dropout_rate=0.3, rng=rng)
+    o1 = net.forward(x, mode="train", rng=rng)
+    o2 = net.forward(x, mode="train", rng=rng)
     assert not np.array_equal(o1.logits.data, o2.logits.data)
+
+
+def test_train_forward_without_dropout_draws_nothing():
+    net = make_net("ppo")
+    x = net.format_obs(frames_batch(3, 1))
+    rng = Rng(5)
+    state = rng.get_state()
+    train = net.forward(x, mode="train", rng=rng)
+    assert rng.get_state() == state
+    np.testing.assert_array_equal(train.logits.data, net.forward(x).logits.data)
 
 
 def test_gradient_reaches_every_parameter():
@@ -152,7 +165,7 @@ def test_value_head_initial_scale_beats_policy_head():
 
 
 def test_build_is_deterministic_given_seed():
-    a = PolicyValueNet(BackboneConfig(obs_height=16, obs_width=16), Rng(7))
-    b = PolicyValueNet(BackboneConfig(obs_height=16, obs_width=16), Rng(7))
+    a = PolicyValueNet(preset("ppo"), 16, 5, Rng(7))
+    b = PolicyValueNet(preset("ppo"), 16, 5, Rng(7))
     for (na, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data)
