@@ -22,7 +22,12 @@ from .rng import Rng
 from .rollout import RolloutBuffer
 from .tensor import Tensor
 
-__all__ = ["AgentHyperparams", "UpdateStats", "PRESETS", "preset", "Agent"]
+__all__ = ["AgentHyperparams", "UpdateStats", "PRESETS", "preset", "Agent", "is_int"]
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool (YAML 1.1 reads `yes`, `on` and `true` as True)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _POSITIVE_INT_FIELDS = ("frames", "width_multiplier", "batch_size",
@@ -67,19 +72,21 @@ class AgentHyperparams:
 
     def __post_init__(self) -> None:
         v = vars(self)
-        bad_ints = [key for key in _POSITIVE_INT_FIELDS
-                    if not isinstance(v[key], int) or v[key] <= 0]
+        numbers = {key for key, value in v.items() if isinstance(value, float) or is_int(value)}
+        bad_ints = [key for key in _POSITIVE_INT_FIELDS if not is_int(v[key]) or v[key] <= 0]
         problems = [f"{key} must be a positive integer" for key in bad_ints]
         if self.conv_kind not in ("conv2d", "conv3d"):
             problems.append("conv_kind must be 'conv2d' or 'conv3d'")
         problems += [f"{key} {rule}" for key, ok, rule in _RANGE_FIELDS
-                     if not isinstance(v[key], (int, float)) or not ok(v[key])]
+                     if key not in numbers or not ok(v[key])]
+        problems += [f"{key} must be a bool" for key in ("normalize_advantages", "clip_value_loss")
+                     if not isinstance(v[key], bool)]
         if self.algo == "ppo":
             if self.dropout_rate != 0.0:
                 problems.append("ppo configs forbid dropout")
             if self.clip_coeff is None:
                 problems.append("ppo configs require a clip coefficient")
-            elif not isinstance(self.clip_coeff, (int, float)) or not self.clip_coeff > 0.0:
+            elif "clip_coeff" not in numbers or not self.clip_coeff > 0.0:
                 problems.append("clip_coeff must be > 0")
         elif self.algo == "vsop":
             if self.clip_coeff is not None:

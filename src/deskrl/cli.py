@@ -1,11 +1,12 @@
 """Command-line harness: train / aggregate / selfcheck / ablate / plot.
 
-Configs are YAML key-value files validated up front (all problems reported
-at once); CLI flags override file values. The per-cell settings take their
-defaults and their checks from `trainer.TrainConfig`, and the
-hyperparameters, `hyperparam_overrides` included, are checked by
-`agents.AgentHyperparams` when the overridden set is built, so every
-problem is reported before any file is written. Runs are laid out as
+Configs are YAML key-value files; `--set` overrides file values.
+`RunConfig` owns the run grid: it shares `trainer.CellSettings` (the
+per-cell settings, their defaults and their checks) with `TrainConfig`,
+and checks the grid and the hyperparameters, `hyperparam_overrides`
+included, on every construction (`load_run_config`, a direct call or
+`dataclasses.replace`), so every problem is reported at once before any
+file is written. Runs are laid out as
 <output_dir>/<env>/seed<k>/ with a manifest.json recording the config hash,
 per-seed status, and the complete file inventory. Errors exit nonzero with
 a machine-readable JSON object on stderr.
@@ -22,47 +23,52 @@ import json
 import os
 import sys
 
-import numpy as np
 import yaml
 
 from . import __version__
-from .agents import PRESETS, AgentHyperparams, preset
-from .envs import ENV_REGISTRY
-from .report import build_report, render_svg
+from .agents import PRESETS, AgentHyperparams, is_int, preset
+from .report import build_report, collect_run_scores, render_svg
 from .selfcheck import run_selfcheck
-from .stats import final_score
-from .trainer import TrainConfig, settings_problems, train
+from .trainer import CellSettings, TrainConfig, grid_problems, train
 
 __all__ = ["main", "load_run_config", "RunConfig"]
 
-# The TrainConfig fields a run applies to every (env, seed) cell.
-_CELL_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig)
-                     if f.name not in ("env", "seed"))
-_CONFIG_DEFAULTS = {
-    **{f.name: f.default for f in dataclasses.fields(TrainConfig)
-       if f.default is not dataclasses.MISSING},
-    "window": 100,
-    "hyperparam_overrides": {},
-    "output_dir": None,
-}
 
+@dataclasses.dataclass(kw_only=True)
+class RunConfig(CellSettings):
+    """The (env, seed) grid of a run and the settings its cells share."""
 
-@dataclasses.dataclass
-class RunConfig:
-    preset: str
-    envs: list[str]
-    seeds: list[int]
-    total_steps: int
-    num_train_levels: int
-    eval_interval: int
-    eval_episodes: int
-    num_envs: int
-    obs_size: int
-    eval_mode: str
-    checkpoint_interval: int
-    window: int
-    hyperparam_overrides: dict
-    output_dir: str | None
+    preset: str = None  # required fields default to None, reported as missing
+    envs: list[str] = None
+    seeds: list[int] = None
+    window: int = 100
+    hyperparam_overrides: dict = dataclasses.field(default_factory=dict)
+    output_dir: str | None = None
+
+    def problems(self) -> list[str]:
+        problems = super().problems()
+        known_preset = isinstance(self.preset, str) and self.preset in PRESETS
+        if not self.preset:
+            problems.append("missing required field: preset")
+        elif not known_preset:
+            problems.append(f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}")
+        problems += grid_problems(self.envs, self.seeds)
+        if not is_int(self.window) or self.window <= 0:
+            problems.append("window must be a positive integer")
+        if not isinstance(self.output_dir, (str, type(None))):
+            problems.append("output_dir must be a string or null")
+        if not isinstance(self.hyperparam_overrides, dict):
+            problems.append("hyperparam_overrides must be a mapping")
+        elif known_preset:
+            try:
+                hp = self.hyperparams()
+            except (TypeError, ValueError) as exc:
+                problems.append(f"hyperparam_overrides for preset {self.preset}: {exc}")
+            else:
+                if is_int(self.num_envs) and self.num_envs > 0 and hp.batch_size % self.num_envs:
+                    problems.append(f"batch_size {hp.batch_size} must be a multiple of "
+                                    f"num_envs {self.num_envs}")
+        return problems
 
     def hyperparams(self) -> AgentHyperparams:
         # replace() re-runs AgentHyperparams' checks on the overridden set.
@@ -75,9 +81,7 @@ class RunConfig:
         return os.path.join(root, self.preset)
 
     def canonical(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hyperparams"] = dataclasses.asdict(self.hyperparams())
-        return d
+        return {**dataclasses.asdict(self), "hyperparams": dataclasses.asdict(self.hyperparams())}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -85,55 +89,21 @@ class RunConfig:
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    """Load and fully validate a run config; raises with every problem listed."""
+    """Read a run config, apply `overrides`; raises with every problem listed."""
     with open(path) as f:
         raw = yaml.safe_load(f) or {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
-    raw = {**_CONFIG_DEFAULTS, **raw, **(overrides or {})}
-
-    problems: list[str] = []
-    if not raw.get("preset"):
-        problems.append("missing required field: preset")
-    elif raw["preset"] not in PRESETS:
-        problems.append(f"unknown preset {raw['preset']!r}; known: {sorted(PRESETS)}")
-    envs = raw.get("envs")
-    if not envs or not isinstance(envs, list):
-        problems.append("missing required field: envs (non-empty list)")
-    else:
-        for e in envs:
-            if e not in ENV_REGISTRY:
-                problems.append(f"unknown env {e!r}; known: {sorted(ENV_REGISTRY)}")
-    seeds = raw.get("seeds")
-    if not seeds or not isinstance(seeds, list):
-        problems.append("missing required field: seeds (non-empty list)")
-    elif len(set(seeds)) != len(seeds):
-        problems.append("seeds must be distinct")
-    problems += settings_problems(raw)
-    if not isinstance(raw.get("window"), int) or raw["window"] <= 0:
-        problems.append("window must be a positive integer")
-    if raw.get("preset") in PRESETS:
-        try:
-            hp = dataclasses.replace(PRESETS[raw["preset"]],
-                                     **(raw["hyperparam_overrides"] or {}))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"hyperparam_overrides: {exc}")
-        else:
-            num_envs = raw.get("num_envs")
-            if isinstance(num_envs, int) and num_envs > 0 and hp.batch_size % num_envs:
-                problems.append(f"batch_size {hp.batch_size} must be a multiple of "
-                                f"num_envs {num_envs}")
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
-
-    known = set(_CONFIG_DEFAULTS) | {"preset", "envs", "seeds", "total_steps"}
-    unknown = set(raw) - known
+    raw = {**raw, **(overrides or {})}
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ValueError(f"{path}: unknown config fields: {sorted(unknown)}")
-    cfg = RunConfig(**{
-        **raw, "envs": list(envs), "seeds": [int(s) for s in seeds],
-        "hyperparam_overrides": raw["hyperparam_overrides"] or {}})
-    return cfg
+    if raw.get("hyperparam_overrides", {}) is None:
+        raw["hyperparam_overrides"] = {}
+    try:
+        return RunConfig(**raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_manifest(out_dir, cfg: RunConfig, statuses: dict, inventory: dict) -> None:
@@ -165,8 +135,7 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
         for seed in cfg.seeds:
             statuses[(env, seed)] = "running"
             _write_manifest(out_dir, cfg, statuses, inventory)
-            tc = TrainConfig(env=env, seed=seed,
-                             **{k: getattr(cfg, k) for k in _CELL_FIELDS})
+            tc = TrainConfig(env=env, seed=seed, **cfg.cell_settings())
             try:
                 summary = train(tc, hp, os.path.join(out_dir, env, f"seed{seed}"))
             except Exception:
@@ -195,11 +164,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def cmd_train(args) -> int:
-    overrides = _parse_overrides(args.set)
-    if args.preset:
-        overrides["preset"] = args.preset
-    cfg = load_run_config(args.config, overrides)
-    run_dir = run_training(cfg)
+    run_dir = run_training(load_run_config(args.config, _parse_overrides(args.set)))
     print(f"[train] run complete: {run_dir}")
     return 0
 
@@ -244,16 +209,17 @@ def cmd_selfcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, _parse_overrides(args.set))
     presets = ["ppo", "ppo3d", "vsop", "vsop3d"]
-    run_dirs = {}
     root = cfg.resolved_output_dir()
     # hyperparam_overrides apply to every preset alike, so paired
-    # comparisons stay apples-to-apples even at reduced budgets
-    for name in presets:
-        sub = dataclasses.replace(cfg, preset=name,
-                                  output_dir=os.path.join(root, name))
-        run_dirs[name] = run_training(sub)
+    # comparisons stay apples-to-apples even at reduced budgets; every
+    # preset's config is checked before any of them trains
+    try:
+        subs = {name: dataclasses.replace(cfg, preset=name, output_dir=os.path.join(root, name))
+                for name in presets}
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    run_dirs = {name: run_training(sub) for name, sub in subs.items()}
 
-    from .report import collect_run_scores
     scores = {name: collect_run_scores(run_dirs[name], cfg.window)[0]
               for name in presets}
     comparisons = [("ppo3d", "ppo"), ("vsop3d", "vsop")]
@@ -297,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run the (env x seed) training grid from a config")
     t.add_argument("config")
-    t.add_argument("--preset", choices=sorted(PRESETS), help="override the config preset")
     t.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config field")
     t.set_defaults(fn=cmd_train)

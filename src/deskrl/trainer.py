@@ -6,10 +6,10 @@ intervals. Writes a metrics CSV (one row per completed episode, train and
 eval) plus a JSON sidecar of per-update statistics, and can checkpoint and
 resume on update boundaries with bit-identical continuation.
 
-`TrainConfig` owns the per-cell settings: it checks every one of them at
-construction, whether it arrives from the CLI's YAML config or from a direct
-API call, and raises one `ValueError` listing every problem
-(`settings_problems`), so no invalid config reaches `train()`.
+`CellSettings` declares the settings all cells of a run share: `TrainConfig`
+adds a cell's `env` and `seed`, the CLI's `RunConfig` the run grid. Each
+checks every field however it is built (YAML, API call or `replace`) and
+raises one `ValueError` listing every problem, so none reaches `train()`.
 
 Checkpoints are deskrl's one checkpoint format. Before it loads anything or
 touches `metrics.csv`, resume rejects a checkpoint whose `hp`/`config`
@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .agents import Agent, AgentHyperparams
-from .envs import GRID, NUM_ACTIONS, VecEnv, normalized_return
+from .agents import Agent, AgentHyperparams, is_int
+from .envs import ENV_REGISTRY, GRID, NUM_ACTIONS, VecEnv, normalized_return
 from .rng import Rng
 from .rollout import Collector
 from .serialize import read_container, write_container
 
-__all__ = ["TrainConfig", "settings_problems", "train", "evaluate_policy",
+__all__ = ["CellSettings", "TrainConfig", "grid_problems", "train", "evaluate_policy",
            "METRICS_COLUMNS"]
 
 METRICS_COLUMNS = ("step", "split", "env", "seed", "episodic_return", "normalized_return")
@@ -42,25 +42,29 @@ _POSITIVE_INT_SETTINGS = ("total_steps", "num_envs", "num_train_levels",
                           "eval_interval", "eval_episodes", "obs_size")
 
 
-def settings_problems(values: dict) -> list[str]:
-    """Every problem with the `TrainConfig` settings in `values`, at once."""
-    problems = [f"{key} must be a positive integer" for key in _POSITIVE_INT_SETTINGS
-                if not isinstance(values.get(key), int) or values[key] <= 0]
-    if isinstance(values.get("obs_size"), int) and values["obs_size"] % GRID:
-        problems.append(f"obs_size must be a multiple of {GRID}")
-    interval = values.get("checkpoint_interval")
-    if not isinstance(interval, int) or interval < 0:
-        problems.append("checkpoint_interval must be a non-negative integer")
-    if values.get("eval_mode") not in ("thompson", "mean"):
-        problems.append("eval_mode must be 'thompson' or 'mean'")
+def grid_problems(envs: list, seeds: list) -> list[str]:
+    """Every problem with the (env, seed) cells of `envs` x `seeds`: each must
+    be a non-empty list of distinct registered envs or ints in [0, 2**64)."""
+    problems = []
+    for name, cells, ok, rule in (
+            ("envs", envs, lambda e: isinstance(e, str) and e in ENV_REGISTRY,
+             f"unknown env {{!r}}; known: {sorted(ENV_REGISTRY)}"),
+            ("seeds", seeds, lambda s: is_int(s) and 0 <= s < 2**64,
+             "seed {!r} must be an integer in [0, 2**64)")):
+        if not cells or not isinstance(cells, list):
+            problems.append(f"missing required field: {name} (non-empty list)")
+        elif not all(map(ok, cells)):
+            problems += [rule.format(c) for c in cells if not ok(c)]
+        elif len(set(cells)) != len(cells):
+            problems.append(f"{name} must be distinct")
     return problems
 
 
-@dataclass
-class TrainConfig:
-    env: str
-    seed: int
-    total_steps: int
+@dataclass(kw_only=True)
+class CellSettings:
+    """The settings every cell of a run shares, checked when they are built."""
+
+    total_steps: int = None  # required: None fails the check
     num_envs: int = 8
     num_train_levels: int = 50
     eval_interval: int = 8192
@@ -70,9 +74,33 @@ class TrainConfig:
     checkpoint_interval: int = 0  # updates between checkpoints; 0 disables
 
     def __post_init__(self) -> None:
-        problems = settings_problems(vars(self))
+        problems = self.problems()
         if problems:
-            raise ValueError("invalid TrainConfig: " + "; ".join(problems))
+            raise ValueError(f"invalid {type(self).__name__}: " + "; ".join(problems))
+
+    def problems(self) -> list[str]:
+        v = vars(self)
+        problems = [f"{key} must be a positive integer" for key in _POSITIVE_INT_SETTINGS
+                    if not is_int(v[key]) or v[key] <= 0]
+        if is_int(self.obs_size) and self.obs_size % GRID:
+            problems.append(f"obs_size must be a multiple of {GRID}")
+        if not is_int(self.checkpoint_interval) or self.checkpoint_interval < 0:
+            problems.append("checkpoint_interval must be a non-negative integer")
+        if self.eval_mode not in ("thompson", "mean"):
+            problems.append("eval_mode must be 'thompson' or 'mean'")
+        return problems
+
+    def cell_settings(self) -> dict:  # to build each cell's TrainConfig
+        return {f.name: getattr(self, f.name) for f in fields(CellSettings)}
+
+
+@dataclass(kw_only=True)
+class TrainConfig(CellSettings):
+    env: str
+    seed: int
+
+    def problems(self) -> list[str]:
+        return super().problems() + grid_problems([self.env], [self.seed])
 
     def resolved_horizon(self, hp: AgentHyperparams) -> int:
         h = hp.batch_size // self.num_envs

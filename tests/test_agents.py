@@ -77,7 +77,11 @@ def test_construction_reports_every_problem_at_once():
     ("vsop", "frames", 1.5), ("vsop", "gamma", -0.1), ("vsop", "gae_lambda", 1.5),
     ("vsop", "max_grad_norm", 0.0), ("vsop", "dropout_rate", 1.0),
     ("vsop", "learning_rate", float("nan")), ("vsop", "entropy_coeff", -1.0),
-    ("vsop", "value_loss_coeff", "x"), ("ppo", "clip_coeff", -0.2)])
+    ("vsop", "value_loss_coeff", "x"), ("ppo", "clip_coeff", -0.2),
+    # a bool is not a number (YAML 1.1 reads `yes` as True), and the two
+    # switches must be bools
+    ("ppo", "frames", True), ("ppo", "learning_rate", True), ("ppo", "clip_coeff", True),
+    ("ppo", "normalize_advantages", "yes"), ("ppo", "clip_value_loss", 1)])
 def test_construction_rejects_each_bad_field(name, field, value):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(preset(name), **{field: value})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,9 @@ import pytest
 import yaml
 
 from deskrl import cli, tensor
-from deskrl.cli import load_run_config, main
+from deskrl.agents import preset
+from deskrl.cli import RunConfig, load_run_config, main
+from deskrl.trainer import TrainConfig
 
 SMALL_CONFIG = {
     "preset": "vsop",
@@ -137,6 +140,12 @@ BAD_CONFIGS = [
     ({"hyperparam_overrides": {"max_grad_norm": 0.0}}, "max_grad_norm"),
     ({"obs_size": 24}, "obs_size"),
     ({"num_envs": 7}, "num_envs"),
+    ({"seeds": [-1]}, "seed -1"),
+    ({"seeds": [1.5]}, "seed 1.5"),
+    ({"seeds": ["a"]}, "seed 'a'"),
+    ({"seeds": [2**64]}, f"seed {2**64}"),
+    ({"envs": ["chase_dot", "chase_dot"]}, "envs must be distinct"),
+    ({"num_envs": True}, "num_envs must be a positive integer"),
 ]
 
 
@@ -147,11 +156,46 @@ def test_bad_config_fails_before_any_file_is_written(tmp_path, capsys, over, set
     over = {"preset": "ppo", "output_dir": str(out), **over}
     over["hyperparam_overrides"] = {**SMALL_CONFIG["hyperparam_overrides"],
                                     **over.get("hyperparam_overrides", {})}
-    assert main(["train", write_config(tmp_path, **over)]) == 2
+    path = write_config(tmp_path, **over)
+    assert main(["train", path]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ValueError"
-    assert setting in payload["message"]
+    assert payload["message"].startswith(path) and setting in payload["message"]
     assert not out.exists() or not any(out.iterdir())
+    # The same values fail a direct construction too.
+    with pytest.raises(ValueError, match="invalid RunConfig"):
+        RunConfig(**{**SMALL_CONFIG, **over})
+
+
+@pytest.mark.parametrize("config_preset,override,bad_preset", [
+    ("ppo", {"clip_coeff": 0.1}, "vsop"), ("vsop", {"dropout_rate": 0.1}, "ppo")])
+def test_ablate_checks_every_preset_before_training(tmp_path, capsys, config_preset,
+                                                    override, bad_preset):
+    # hyperparam_overrides apply to all four presets; one that only some of
+    # them accept used to fail after the others had trained.
+    out = tmp_path / "ablation"
+    path = write_config(tmp_path, preset=config_preset, output_dir=str(out),
+                        hyperparam_overrides={"batch_size": 256, **override})
+    assert main(["ablate", path]) == 2
+    msg = json.loads(capsys.readouterr().err.strip())["message"]
+    assert msg.startswith(path) and f"preset {bad_preset}" in msg
+    assert not out.exists()
+
+
+CONFIG_OWNERS = {
+    "TrainConfig": TrainConfig(env="chase_dot", seed=0, total_steps=256),
+    "RunConfig": RunConfig(**SMALL_CONFIG),
+    "AgentHyperparams[ppo]": preset("ppo"),
+    "AgentHyperparams[vsop]": preset("vsop"),
+}
+
+
+@pytest.mark.parametrize("owner,field", [
+    (owner, f.name) for owner, obj in CONFIG_OWNERS.items() for f in dataclasses.fields(obj)])
+def test_every_config_field_is_checked(owner, field):
+    # A field added without a check fails here.
+    with pytest.raises(ValueError):
+        dataclasses.replace(CONFIG_OWNERS[owner], **{field: object()})
 
 
 def test_failed_seed_is_recorded_in_manifest(tmp_path, monkeypatch):

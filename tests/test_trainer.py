@@ -50,6 +50,16 @@ def test_train_config_rejects_invalid_settings():
         small_config(checkpoint_interval=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("env", "pong"), ("env", None), ("seed", -1), ("seed", 1.5), ("seed", "a"),
+    ("seed", 2**64), ("seed", True), ("num_envs", True), ("total_steps", None)])
+def test_train_config_rejects_a_bad_cell(field, value):
+    # seed=1.5 used to train and write "1.5" into metrics.csv's seed column,
+    # which report.read_metrics_csv then skipped as malformed.
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+
+
 def test_train_writes_metrics_and_update_log(tmp_path):
     out = tmp_path / "run"
     summary = train(small_config(), SMALL_HP, out)
