@@ -187,16 +187,18 @@ class Agent:
         streams.
         """
         x = self.net.format_obs(stacked_frames)
-        out = self.net.forward(x, mode="train" if thompson else "eval",
-                               rng=dropout_rng or self._dropout_rng)
-        actions, logprob = T.sample_categorical(
-            out.logits, action_rng or self._action_rng)
-        return actions, logprob.data.copy(), out.value.data.copy()
+        with T.no_grad():
+            out = self.net.forward(x, mode="train" if thompson else "eval",
+                                   rng=dropout_rng or self._dropout_rng)
+            actions, logprob = T.sample_categorical(
+                out.logits, action_rng or self._action_rng)
+        return actions, logprob.data, out.value.data
 
     def value_estimate(self, stacked_frames: np.ndarray) -> np.ndarray:
         """Eval-mode value for bootstrapping at collection boundaries."""
         x = self.net.format_obs(stacked_frames)
-        return self.net.forward(x, mode="eval").value.data.copy()
+        with T.no_grad():
+            return self.net.forward(x, mode="eval").value.data
 
     # -- updates ----------------------------------------------------------
 

@@ -11,12 +11,33 @@ the correlation of the zero-dilated upstream gradient with the flipped,
 channel-swapped kernel; the kernel gradient gathers the columns again
 instead of retaining them, trading a little compute for a lot of memory.
 
-Everything is float64. Gradients accumulate additively across backward
-calls, matching the usual autograd convention.
+Every convolution pass runs over chunks of samples whose columns fit
+`COLUMN_BUDGET`, so the live column memory is max(budget, one sample)
+whatever the batch. A batch that fits is one chunk. The kernel gradient is
+summed over chunks. The budget is set for memory, not speed: on a `vsop3d`
+training step at minibatch 32, budgets from 1 MiB up to the whole batch
+timed alike, and 4 MiB is small beside the tape.
+
+The columns are gathered into one module-level buffer that only grows, so
+no call pays page faults on fresh column memory. Rule: columns are read
+only by the GEMMs of the chunk that gathered them, and nothing on the tape
+holds a view of the buffer; the kernel gradient gathers its columns again
+rather than keeping them.
+
+`backward` frees the tape as it walks it: once a node has passed its
+gradient on, its gradient, parents and closure are dropped, so interior
+gradients and activations die as soon as they are used. Walking a graph a
+second time raises. Under `no_grad()` operations record no tape at all,
+for forwards whose outputs are only read (acting, evaluation).
+
+Everything is float64. Leaf gradients accumulate additively across
+backward calls, matching the usual autograd convention.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,8 +51,12 @@ __all__ = [
     "clip", "minimum", "maximum", "tsum", "tmean", "mean_axis", "reshape",
     "conv2d", "conv3d", "maxpool2x2", "dropout",
     "categorical_logprob", "softmax_entropy", "softmax_probs",
-    "sample_categorical", "backward",
+    "sample_categorical", "backward", "no_grad",
 ]
+
+# Most bytes of im2col columns one chunk of a correlation gathers, unless
+# one sample needs more (see the module docstring for why 4 MiB).
+COLUMN_BUDGET = 4 * 2**20
 
 
 class ShapeError(ValueError):
@@ -74,9 +99,23 @@ class Tensor:
         return mul(self, Tensor(np.asarray(-1.0)))
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: outputs keep no parents or closure."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -104,8 +143,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+_CONSUMED = object()  # the closure slot of a node a backward has walked
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse accumulation from a scalar loss into every tracked parent."""
+    """Reverse accumulation from a scalar loss into every tracked parent.
+
+    The walk frees the tape: each interior node's gradient, parents and
+    closure go as soon as it has passed its gradient on. A node that a
+    previous backward consumed makes this raise before any gradient moves.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -121,15 +168,21 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward_fn is _CONSUMED:
+            raise RuntimeError("backward through a graph a previous backward consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()  # popped, so the list stops holding walked nodes
+        if node._backward_fn is None:
+            continue  # a leaf keeps its accumulated gradient
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad, node._parents, node._backward_fn = None, (), _CONSUMED
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +369,19 @@ def _embed(a: np.ndarray, extents: tuple, lo: tuple, step: tuple) -> np.ndarray:
     return buf
 
 
+def _chunks(n: int, channels: int, kshape: tuple, stride: tuple, out_shape: tuple) -> list:
+    """Slices of a batch of n whose `_columns` fit COLUMN_BUDGET, one sample at least."""
+    used0 = stride[0] * (out_shape[0] - 1) + kshape[0]
+    per_sample = 8 * channels * math.prod(kshape[1:]) * used0 * math.prod(out_shape[1:])
+    step = max(1, COLUMN_BUDGET // per_sample)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+# The one column buffer; it only grows (see the no-aliasing rule in the
+# module docstring).
+_column_buffer = np.empty(0)
+
+
 def _columns(src: np.ndarray, kshape: tuple, stride: tuple, out_shape: tuple) -> list:
     """The k0 column matrices of a correlation over channel-major `src`.
 
@@ -326,7 +392,10 @@ def _columns(src: np.ndarray, kshape: tuple, stride: tuple, out_shape: tuple) ->
     (C*k1*..., out0*N*out1*...), not another copy (a copy only when the
     first-axis stride exceeds 1). A 3x3x3 kernel at depth 8 and padding 1
     thus copies each input value 9 * 10 / 8 ~ 11 times instead of 27.
+    The gather lands in the shared column buffer, so the matrices are valid
+    only until the next call.
     """
+    global _column_buffer
     c, _, n = src.shape[:3]
     k0, s0, out0 = kshape[0], stride[0], out_shape[0]
     used0 = s0 * (out0 - 1) + k0
@@ -336,26 +405,36 @@ def _columns(src: np.ndarray, kshape: tuple, stride: tuple, out_shape: tuple) ->
         shape=(c,) + kshape[1:] + (used0, n) + out_shape[1:],
         strides=((src.strides[0],) + tail + src.strides[1:3]
                  + tuple(st * s for st, s in zip(tail, stride[1:]))))
-    cols = view.reshape(c * int(np.prod(kshape[1:])), used0, -1)
+    if _column_buffer.size < view.size:
+        _column_buffer = np.empty(view.size)
+    cols = _column_buffer[:view.size].reshape(view.shape)
+    np.copyto(cols, view)
+    cols = cols.reshape(c * math.prod(kshape[1:]), used0, -1)
     return [cols[:, i:i + s0 * (out0 - 1) + 1:s0].reshape(cols.shape[0], -1)
             for i in range(k0)]
 
 
-def _correlate(src: np.ndarray, kernel: np.ndarray, stride: tuple,
+def _correlate(a: np.ndarray, place: tuple, kernel: np.ndarray, stride: tuple,
                out_shape: tuple) -> np.ndarray:
-    """Cross-correlation of channel-major `src` with kernel (O, C, *k).
+    """Cross-correlation of batch-major `a` (N, C, ...) with kernel (O, C, *k).
 
-    Returns (O, out0, N, out1, ...): the sum over first-axis kernel offsets
-    of one GEMM each on the column slices of `_columns`.
+    Runs over the chunks of `_chunks`: each chunk is laid out by
+    `_embed(chunk, *place)`, and every first-axis kernel offset adds one
+    GEMM on a slice of the chunk's columns. Returns (N, O, *out_shape).
     """
-    o, k0 = kernel.shape[0], kernel.shape[2]
+    n = a.shape[0]
+    o, c, k0 = kernel.shape[:3]
+    kshape = kernel.shape[2:]
     w = np.moveaxis(kernel, 2, 0).reshape(k0, o, -1)
-    slabs = _columns(src, kernel.shape[2:], stride, out_shape)
-    acc = w[0] @ slabs[0]
-    term = np.empty_like(acc)
-    for wi, slab in zip(w[1:], slabs[1:]):
-        acc += np.matmul(wi, slab, out=term)
-    return acc.reshape((o, out_shape[0], src.shape[2]) + out_shape[1:])
+    out = np.empty((n, o) + out_shape)
+    for sl in _chunks(n, c, kshape, stride, out_shape):
+        slabs = _columns(_embed(a[sl], *place), kshape, stride, out_shape)
+        acc = w[0] @ slabs[0]
+        term = np.empty_like(acc)
+        for wi, slab in zip(w[1:], slabs[1:]):
+            acc += np.matmul(wi, slab, out=term)
+        out[sl] = _batch_major(acc.reshape((o, out_shape[0], -1) + out_shape[1:]))
+    return out
 
 
 def _batch_major(a: np.ndarray) -> np.ndarray:
@@ -379,33 +458,32 @@ def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int) -> Tensor:
     in_shape = x.shape[2:]
     out_shape = spec.out_extent(in_shape)
     ones = (1,) * ndim
+    pad = (tuple(e + 2 * p for e, p in zip(in_shape, spec.padding)), spec.padding, ones)
 
-    def padded_input() -> np.ndarray:
-        extents = tuple(e + 2 * p for e, p in zip(in_shape, spec.padding))
-        return _embed(x.data, extents, spec.padding, ones)
-
-    out_data = _batch_major(_correlate(padded_input(), kernel.data, spec.stride, out_shape))
+    out_data = _correlate(x.data, pad, kernel.data, spec.stride, out_shape)
 
     def bw(g):
         if kernel.requires_grad:
-            # dW for first-axis offset i: g against the column slice for i.
-            # The columns are gathered again; keeping them would dominate memory.
-            g_mat = g.transpose((1, 2, 0) + tuple(range(3, g.ndim))).reshape(o, -1)
-            slabs = _columns(padded_input(), kshape, spec.stride, out_shape)
-            # slab @ g.T runs faster in BLAS than g @ slab.T for these shapes.
-            dw = np.stack([slab @ g_mat.T for slab in slabs])  # (k0, C*k1*..., O)
+            # dW for first-axis offset i: g against the column slice for i,
+            # summed over the forward's chunks. The columns are gathered
+            # again; keeping them would dominate memory.
+            dw = None
+            for sl in _chunks(n, c_in, kshape, spec.stride, out_shape):
+                g_mat = g[sl].transpose((1, 2, 0) + tuple(range(3, g.ndim))).reshape(o, -1)
+                slabs = _columns(_embed(x.data[sl], *pad), kshape, spec.stride, out_shape)
+                # slab @ g.T runs faster in BLAS than g @ slab.T for these shapes.
+                part = np.stack([slab @ g_mat.T for slab in slabs])  # (k0, C*k1*..., O)
+                dw = part if dw is None else dw + part
             dw = dw.reshape((kshape[0], c_in) + kshape[1:] + (o,))
             _accumulate(kernel, dw.transpose((ndim + 1, 1, 0) + tuple(range(2, ndim + 1))))
         if x.requires_grad:
             # dX is the stride-1 correlation of g, zero-dilated by the stride
             # and padded by k-1-p (negative crops), with the kernel flipped
             # and its channel axes swapped (Dumoulin & Visin, 2016).
-            extents = tuple(e + k - 1 for e, k in zip(in_shape, kshape))
-            lo = tuple(k - 1 - p for k, p in zip(kshape, spec.padding))
+            dilate = (tuple(e + k - 1 for e, k in zip(in_shape, kshape)),
+                      tuple(k - 1 - p for k, p in zip(kshape, spec.padding)), spec.stride)
             flipped = kernel.data[(slice(None), slice(None)) + (slice(None, None, -1),) * ndim]
-            dx = _correlate(_embed(g, extents, lo, spec.stride),
-                            flipped.swapaxes(0, 1), ones, in_shape)
-            _accumulate(x, _batch_major(dx))
+            _accumulate(x, _correlate(g, dilate, flipped.swapaxes(0, 1), ones, in_shape))
 
     return _make(out_data, (x, kernel), bw)
 

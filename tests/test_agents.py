@@ -252,6 +252,32 @@ def test_vsop_thompson_sampling_draws_fresh_subnetworks():
     np.testing.assert_array_equal(v3, v4)
 
 
+@pytest.mark.parametrize("name", ["vsop", "vsop3d"])
+def test_acting_is_tape_free_and_matches_a_taped_forward(name, monkeypatch):
+    agent = Agent(small_hp(name), obs_size=16, num_actions=5, rng=Rng(1))
+    obs = stacked_obs(agent.hp.frames)
+    x = agent.net.format_obs(obs)
+    taped = agent.net.forward(x, mode="train", rng=Rng(7).split("d"))
+    assert taped.logits._parents  # the reference forward does build a tape
+    ref_actions, ref_lp = T.sample_categorical(taped.logits, Rng(7).split("a"))
+    ref_value = agent.net.forward(x, mode="eval").value.data
+
+    seen = []
+    forward = agent.net.forward
+    monkeypatch.setattr(agent.net, "forward",
+                        lambda *a, **k: seen.append(forward(*a, **k)) or seen[-1])
+    actions, lp, value = agent.select_action(
+        obs, action_rng=Rng(7).split("a"), dropout_rng=Rng(7).split("d"))
+    assert actions.tobytes() == ref_actions.tobytes()
+    assert lp.tobytes() == ref_lp.data.tobytes()
+    assert value.tobytes() == taped.value.data.tobytes()
+    assert agent.value_estimate(obs).tobytes() == ref_value.tobytes()
+    assert len(seen) == 2
+    for out in seen:
+        for t in (out.logits, out.value):
+            assert t._parents == () and t._backward_fn is None
+
+
 def synthetic_buffer(agent, horizon=4, num_envs=4):
     rng = Rng(8)
     buf = RolloutBuffer(horizon, num_envs, (agent.hp.frames, 16, 16, 3))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,37 @@ def test_gradients_accumulate_across_backward_calls():
     np.testing.assert_allclose(x.grad, [4.0])
     T.tsum(T.square(x)).backward()
     np.testing.assert_allclose(x.grad, [8.0])
+
+
+def test_backward_frees_the_tape_and_a_second_walk_raises():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    h = T.square(x)
+    r = T.relu(h)
+    loss = T.tsum(r)
+    loss.backward()
+    for node in (h, r, loss):
+        assert node.grad is None and node._parents == ()
+    np.testing.assert_allclose(x.grad, [2.0, -4.0])
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        T.tsum(T.mul(h, x)).backward()  # a new graph through a consumed node
+    np.testing.assert_allclose(x.grad, [2.0, -4.0])  # no leaf moved
+
+
+def test_no_grad_records_no_tape_and_restores_on_raise():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with T.no_grad():
+        with pytest.raises(KeyError):
+            with T.no_grad():
+                raise KeyError("inner")
+        y = T.relu(x)  # the outer block is still tape-free
+    assert not y.requires_grad and y._parents == () and y._backward_fn is None
+    with pytest.raises(KeyError):
+        with T.no_grad():
+            raise KeyError("outer")
+    z = T.relu(x)
+    assert z.requires_grad and z._parents == (x,)
 
 
 def test_backward_requires_scalar():
@@ -214,12 +246,16 @@ CONV_GRAD_CASES = [
 
 @pytest.mark.parametrize("ksh,stride,pad,insh", CONV_GRAD_CASES)
 def test_conv_gradients_satisfy_adjoint_identity(ksh, stride, pad, insh):
-    # conv is bilinear, so for any probes x', W' and upstream g:
-    # <conv(x', W), g> = <x', dX> and <conv(x, W'), g> = <W', dW>.
     r = np.random.default_rng(sum(ksh + stride + pad + insh))
     c, o = int(r.integers(1, 4)), int(r.integers(1, 4))
-    x = r.normal(size=(2, c) + insh)
-    k = r.normal(size=(o, c) + ksh)
+    _check_adjoint(r, r.normal(size=(2, c) + insh), r.normal(size=(o, c) + ksh), stride, pad)
+
+
+def _check_adjoint(r, x, k, stride, pad):
+    # conv is bilinear, so for any probes x', W' and upstream g:
+    # <conv(x', W), g> = <x', dX> and <conv(x, W'), g> = <W', dW>.
+    o, c = k.shape[:2]
+    ksh = k.shape[2:]
     op = T.conv2d if len(ksh) == 2 else T.conv3d
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
     y = op(xt, kt, T.ConvSpec(ksh, stride, pad, c, o))
@@ -230,6 +266,56 @@ def test_conv_gradients_satisfy_adjoint_identity(ksh, stride, pad, insh):
     lhs_k = np.vdot(loop_conv(x, k_probe, stride, pad), g)
     assert rel_err(lhs_x, np.vdot(x_probe, xt.grad)) <= 1e-10
     assert rel_err(lhs_k, np.vdot(k_probe, kt.grad)) <= 1e-10
+
+
+# (N, C, O, kernel, stride, padding, input extents), each over several
+# chunks of columns: one sample's columns exceed the budget; chunks of two
+# samples with an uneven last chunk; a first-axis stride of 2.
+MULTI_CHUNK_CASES = [
+    (3, 10, 2, (3, 5, 5), (1, 1, 1), (1, 2, 2), (3, 24, 24)),
+    (5, 16, 2, (5, 7), (1, 1), (2, 3), (32, 48)),
+    (3, 6, 2, (3, 3, 3), (2, 1, 1), (1, 1, 1), (8, 24, 24)),
+]
+
+
+def _column_chunks(n, c, ksh, stride, pad, insh):
+    """How many chunks of COLUMN_BUDGET bytes of columns a forward takes."""
+    out = [(e + 2 * p - k) // s + 1 for e, k, s, p in zip(insh, ksh, stride, pad)]
+    used0 = stride[0] * (out[0] - 1) + ksh[0]
+    per_sample = 8 * c * math.prod(ksh[1:]) * used0 * math.prod(out[1:])
+    return math.ceil(n / max(1, T.COLUMN_BUDGET // per_sample))
+
+
+@pytest.mark.parametrize("n,c,o,ksh,stride,pad,insh", MULTI_CHUNK_CASES)
+def test_multi_chunk_conv_matches_loop_oracle_and_adjoint(n, c, o, ksh, stride, pad, insh):
+    assert _column_chunks(n, c, ksh, stride, pad, insh) > 1
+    r = np.random.default_rng(n + c + o)
+    x, k = r.normal(size=(n, c) + insh), r.normal(size=(o, c) + ksh)
+    op = T.conv2d if len(ksh) == 2 else T.conv3d
+    got = op(Tensor(x), Tensor(k), T.ConvSpec(ksh, stride, pad, c, o))
+    np.testing.assert_allclose(got.data, loop_conv(x, k, stride, pad), atol=1e-12)
+    _check_adjoint(r, x, k, stride, pad)
+
+
+def test_conv_memory_is_bounded_by_the_column_budget():
+    # The whole batch's columns are more than 10 budgets; a forward and
+    # backward may hold only a few budgets beyond its own outputs.
+    n, c, o, ksh, pad, insh = 64, 4, 2, (3, 5, 5), (1, 2, 2), (2, 16, 16)
+    stride = (1, 1, 1)
+    whole = 8 * c * math.prod(ksh[1:]) * (insh[0] + 2) * math.prod(insh[1:]) * n
+    assert whole >= 10 * T.COLUMN_BUDGET
+    r = np.random.default_rng(0)
+    x = Tensor(r.normal(size=(n, c) + insh), requires_grad=True)
+    k = Tensor(r.normal(size=(o, c) + ksh), requires_grad=True)
+    g = Tensor(r.normal(size=(n, o) + insh))
+    tracemalloc.start()
+    try:
+        y = T.conv3d(x, k, T.ConvSpec(ksh, stride, pad, c, o))
+        T.tsum(T.mul(y, g)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (y.data.nbytes + x.grad.nbytes + k.grad.nbytes) <= 3 * T.COLUMN_BUDGET
 
 
 def test_conv_spec_validation():
