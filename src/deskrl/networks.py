@@ -50,7 +50,7 @@ def _orthogonal(rng: Rng, rows: int, cols: int, gain: float) -> np.ndarray:
 
 
 class ConvLayer:
-    """A conv with its own bias (the conv ops themselves are bias-free)."""
+    """A conv layer: kernel, bias and geometry for one `conv2d`/`conv3d` call."""
 
     def __init__(self, name: str, kind: str, in_ch: int, out_ch: int,
                  rng: Rng, gain: float):
@@ -69,9 +69,7 @@ class ConvLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         conv = T.conv2d if self.kind == "conv2d" else T.conv3d
-        y = conv(x, self.kernel, self.spec)
-        bshape = (1, self.out_channels) + (1,) * (len(y.shape) - 2)
-        return T.add(y, T.reshape(self.bias, bshape))
+        return conv(x, self.kernel, self.spec, self.bias)
 
     def params(self):
         return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.bias", self.bias)]

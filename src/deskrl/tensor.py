@@ -1,15 +1,25 @@
 """Dense fp64 tensors with reverse-mode automatic differentiation.
 
 Minimal engine with exactly the operator set the networks need: elementwise
-arithmetic, matmul/dense, relu, dropout, 2D/3D cross-correlation, spatial
-max pooling, reductions, and the categorical-distribution ops used by the
-policy heads. Forward, kernel gradient and input gradient of every
-convolution run through one correlation routine: im2col over all spatial
-axes but the first (Chellapilla et al., 2006), then one BLAS GEMM per
-first-axis kernel offset on a slice of those columns. The input gradient is
-the correlation of the zero-dilated upstream gradient with the flipped,
-channel-swapped kernel; the kernel gradient gathers the columns again
-instead of retaining them, trading a little compute for a lot of memory.
+arithmetic, matmul/dense, relu, dropout, 2D/3D cross-correlation with an
+optional per-channel bias, 2x2 spatial max pooling, reductions, and the
+categorical-distribution ops used by the policy heads. Forward, kernel
+gradient and input gradient of every convolution run through one
+correlation routine: im2col over all spatial axes but the first
+(Chellapilla et al., 2006), then one BLAS GEMM per first-axis kernel offset
+on a slice of those columns. The input gradient is the correlation of the
+zero-dilated upstream gradient with the flipped, channel-swapped kernel;
+the kernel gradient gathers the columns again instead of retaining them,
+trading a little compute for a lot of memory. A conv given a bias adds it
+in place to its fresh output, so the tape holds no pre-bias output; the
+bias gradient is the upstream gradient summed over batch and space.
+
+Max pooling takes the elementwise max of the four strided corner views of
+the 2x2 windows and stores nothing but its input: backward sends each
+window's gradient to the first corner, in the order (0,0), (0,1), (1,0),
+(1,1), whose value equals the max. That is `argmax`'s tie rule; ties are
+common, since a flat background gives equal conv outputs. Dropout keeps
+its mask as bools.
 
 Every convolution pass runs over chunks of samples whose columns fit
 `COLUMN_BUDGET`, so the live column memory is max(budget, one sample)
@@ -400,11 +410,10 @@ def _columns(src: np.ndarray, kshape: tuple, stride: tuple, out_shape: tuple) ->
     k0, s0, out0 = kshape[0], stride[0], out_shape[0]
     used0 = s0 * (out0 - 1) + k0
     tail = src.strides[3:]
-    view = np.lib.stride_tricks.as_strided(
-        src,
-        shape=(c,) + kshape[1:] + (used0, n) + out_shape[1:],
-        strides=((src.strides[0],) + tail + src.strides[1:3]
-                 + tuple(st * s for st, s in zip(tail, stride[1:]))))
+    # A strided view built directly; `as_strided` costs several times more per call.
+    view = np.ndarray((c,) + kshape[1:] + (used0, n) + out_shape[1:], np.float64, src, 0,
+                      (src.strides[0],) + tail + src.strides[1:3]
+                      + tuple(st * s for st, s in zip(tail, stride[1:])))
     if _column_buffer.size < view.size:
         _column_buffer = np.empty(view.size)
     cols = _column_buffer[:view.size].reshape(view.shape)
@@ -425,7 +434,7 @@ def _correlate(a: np.ndarray, place: tuple, kernel: np.ndarray, stride: tuple,
     n = a.shape[0]
     o, c, k0 = kernel.shape[:3]
     kshape = kernel.shape[2:]
-    w = np.moveaxis(kernel, 2, 0).reshape(k0, o, -1)
+    w = kernel.transpose((2, 0, 1) + tuple(range(3, kernel.ndim))).reshape(k0, o, -1)
     out = np.empty((n, o) + out_shape)
     for sl in _chunks(n, c, kshape, stride, out_shape):
         slabs = _columns(_embed(a[sl], *place), kshape, stride, out_shape)
@@ -442,7 +451,8 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
     return a.transpose((2, 0, 1) + tuple(range(3, a.ndim)))
 
 
-def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int) -> Tensor:
+def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int,
+            bias: Optional[Tensor]) -> Tensor:
     if x.data.ndim != ndim + 2:
         raise ShapeError(f"conv{ndim}d input must be {ndim + 2}-D, got shape {x.shape}")
     if kernel.data.ndim != ndim + 2:
@@ -455,14 +465,20 @@ def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int) -> Tensor:
             f"channel mismatch: input has {c_in}, kernel has {c_k}, spec expects {spec.in_channels}")
     if o != spec.out_channels or kshape != spec.kernel:
         raise ShapeError(f"kernel shape {kernel.shape} does not match spec")
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError(f"conv{ndim}d bias shape {bias.shape} != ({o},)")
     in_shape = x.shape[2:]
     out_shape = spec.out_extent(in_shape)
     ones = (1,) * ndim
     pad = (tuple(e + 2 * p for e, p in zip(in_shape, spec.padding)), spec.padding, ones)
 
     out_data = _correlate(x.data, pad, kernel.data, spec.stride, out_shape)
+    if bias is not None:
+        out_data += bias.data.reshape((o,) + ones)
 
     def bw(g):
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, ndim + 2))))
         if kernel.requires_grad:
             # dW for first-axis offset i: g against the column slice for i,
             # summed over the forward's chunks. The columns are gathered
@@ -485,36 +501,55 @@ def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int) -> Tensor:
             flipped = kernel.data[(slice(None), slice(None)) + (slice(None, None, -1),) * ndim]
             _accumulate(x, _correlate(g, dilate, flipped.swapaxes(0, 1), ones, in_shape))
 
-    return _make(out_data, (x, kernel), bw)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _make(out_data, parents, bw)
 
 
-def conv2d(x: Tensor, kernel: Tensor, spec: ConvSpec) -> Tensor:
-    """Bias-free 2D cross-correlation. x: (N,C,H,W), kernel: (O,C,kh,kw)."""
-    return _convnd(x, kernel, spec, 2)
+def conv2d(x: Tensor, kernel: Tensor, spec: ConvSpec,
+           bias: Optional[Tensor] = None) -> Tensor:
+    """2D cross-correlation plus an optional per-channel bias.
+
+    x: (N,C,H,W), kernel: (O,C,kh,kw), bias: (O,).
+    """
+    return _convnd(x, kernel, spec, 2, bias)
 
 
-def conv3d(x: Tensor, kernel: Tensor, spec: ConvSpec) -> Tensor:
-    """Bias-free 3D cross-correlation. x: (N,C,D,H,W), kernel: (O,C,kd,kh,kw)."""
-    return _convnd(x, kernel, spec, 3)
+def conv3d(x: Tensor, kernel: Tensor, spec: ConvSpec,
+           bias: Optional[Tensor] = None) -> Tensor:
+    """3D cross-correlation plus an optional per-channel bias.
+
+    x: (N,C,D,H,W), kernel: (O,C,kd,kh,kw), bias: (O,).
+    """
+    return _convnd(x, kernel, spec, 3, bias)
+
+
+# The four corners of every 2x2 window as strided views, in tie order.
+_CORNERS = [(Ellipsis, slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2 over the last two (spatial) axes."""
+    """2x2 max pooling with stride 2 over the last two (spatial) axes.
+
+    The output is the elementwise max of the four strided corner views.
+    Each window's gradient goes to its first corner, in the order (0,0),
+    (0,1), (1,0), (1,1), whose value equals the max: `argmax`'s tie rule.
+    """
     h, w = x.shape[-2], x.shape[-1]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial extents, got {h}x{w}")
-    lead = x.shape[:-2]
-    windows = x.data.reshape(lead + (h // 2, 2, w // 2, 2))
-    windows = np.moveaxis(windows, -3, -2).reshape(lead + (h // 2, w // 2, 4))
-    idx = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    views = [x.data[c] for c in _CORNERS]
+    out_data = np.maximum(views[0], views[1])
+    np.maximum(out_data, views[2], out=out_data)
+    np.maximum(out_data, views[3], out=out_data)
 
     def bw(g):
-        gw = np.zeros(lead + (h // 2, w // 2, 4))
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gw = gw.reshape(lead + (h // 2, w // 2, 2, 2))
-        gw = np.moveaxis(gw, -2, -3).reshape(x.shape)
-        _accumulate(x, gw)
+        gx = np.zeros(x.shape)
+        routed = np.zeros(g.shape, dtype=bool)
+        for corner, view in zip(_CORNERS, views):
+            hit = (view == out_data) & ~routed
+            np.copyto(gx[corner], g, where=hit)
+            routed |= hit
+        _accumulate(x, gx)
 
     return _make(out_data, (x,), bw)
 
@@ -530,11 +565,11 @@ def dropout(x: Tensor, rate: float, rng: Optional[Rng]) -> Tensor:
     if rng is None:
         raise ValueError("dropout requires an rng")
     scale = 1.0 / (1.0 - rate)
-    mask = (rng.random(x.shape) >= rate) * scale
+    keep = rng.random(x.shape) >= rate  # bool: an eighth of a float mask on the tape
 
     def bw(g):
-        _accumulate(x, g * mask)
-    return _make(x.data * mask, (x,), bw)
+        _accumulate(x, g * keep * scale)
+    return _make(x.data * keep * scale, (x,), bw)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -29,6 +29,26 @@ def loop_conv(x: np.ndarray, k: np.ndarray, stride, pad) -> np.ndarray:
     return out
 
 
+def loop_maxpool(x: np.ndarray, g: np.ndarray):
+    """2x2 stride-2 max pooling over the last two axes by explicit loops.
+
+    Returns (output, input gradient for upstream g). Each window's gradient
+    goes to its first maximal entry in row-major order.
+    """
+    out = np.zeros(x.shape[:-2] + (x.shape[-2] // 2, x.shape[-1] // 2))
+    dx = np.zeros(x.shape)
+    for idx in np.ndindex(*out.shape):
+        lead, (i, j) = idx[:-2], idx[-2:]
+        window = [(2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
+        best = window[0]
+        for pos in window[1:]:
+            if x[lead + pos] > x[lead + best]:
+                best = pos
+        out[idx] = x[lead + best]
+        dx[lead + best] = g[idx]
+    return out, dx
+
+
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Gradient of scalar f(x) by central differences, element by element."""
     g = np.zeros_like(x)

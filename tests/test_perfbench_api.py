@@ -7,6 +7,7 @@ so a rename would otherwise fail only a benchmark run, not the test suite.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -42,3 +43,44 @@ def test_conv_records_of_an_eval_agent_pass_the_conv_check(perfbench, tmp_path):
     records = job.conv_records(w, None)
     assert len(records) == 15
     assert checks.check_conv(records) == []
+
+
+def test_conv_hooks_see_every_layer_and_keep_its_bias_gradient(perfbench):
+    # The benchmark wraps tensor.conv3d with a wrapper that passes positional
+    # arguments through; ConvLayer must reach the conv through the module
+    # attribute, with its bias, and the wrapped backward must still fill it.
+    _, _, spans, _ = perfbench
+    from deskrl import tensor as T
+    from deskrl.agents import preset
+    from deskrl.networks import PolicyValueNet
+    from deskrl.rng import Rng
+
+    x = np.random.default_rng(0).normal(size=(1, 2, 3, 4, 4))
+    k = np.random.default_rng(1).normal(size=(2, 2, 3, 3, 3))
+    y = T.conv3d(T.Tensor(x), T.Tensor(k), T.ConvSpec((3, 3, 3), (1, 1, 1), (1, 1, 1), 2, 2))
+    assert y.shape == (1, 2, 3, 4, 4)
+
+    calls = []
+
+    def counting(orig):
+        def op(*args):
+            calls.append(len(args))
+            return orig(*args)
+        return op
+
+    net = PolicyValueNet(preset("vsop3d"), 16, 5, Rng(0))
+    obs = net.format_obs(np.random.default_rng(2).random((2, 8, 16, 16, 3)))
+    with spans.patched(T, "conv3d", counting):
+        net.forward(obs)
+    assert calls == [4] * 15
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out = net.forward(obs)
+        T.backward(T.add(T.tsum(out.logits), T.tsum(out.value)))
+    finally:
+        tracer.uninstall()
+    assert any(s[0] == "tensor.conv_bwd" for s in tracer.spans)
+    for layer in net.conv_layers():
+        assert layer.bias.grad is not None and np.any(layer.bias.grad != 0.0), layer.name

@@ -10,7 +10,7 @@ from deskrl import tensor as T
 from deskrl.rng import Rng
 from deskrl.tensor import ShapeError, Tensor
 
-from conftest import central_diff_grad, loop_conv, rel_err
+from conftest import central_diff_grad, loop_conv, loop_maxpool, rel_err
 
 
 # -- elementwise and linear algebra ----------------------------------------
@@ -251,14 +251,17 @@ def test_conv_gradients_satisfy_adjoint_identity(ksh, stride, pad, insh):
     _check_adjoint(r, r.normal(size=(2, c) + insh), r.normal(size=(o, c) + ksh), stride, pad)
 
 
-def _check_adjoint(r, x, k, stride, pad):
+def _check_adjoint(r, x, k, stride, pad, bias=None):
     # conv is bilinear, so for any probes x', W' and upstream g:
-    # <conv(x', W), g> = <x', dX> and <conv(x, W'), g> = <W', dW>.
+    # <conv(x', W), g> = <x', dX> and <conv(x, W'), g> = <W', dW>. A bias
+    # b adds b broadcast over batch and space, so <b', db> = <b' bcast, g>.
     o, c = k.shape[:2]
     ksh = k.shape[2:]
     op = T.conv2d if len(ksh) == 2 else T.conv3d
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-    y = op(xt, kt, T.ConvSpec(ksh, stride, pad, c, o))
+    spec = T.ConvSpec(ksh, stride, pad, c, o)
+    bt = None if bias is None else Tensor(bias, requires_grad=True)
+    y = op(xt, kt, spec, bt)
     g = r.normal(size=y.shape)
     T.tsum(T.mul(y, Tensor(g))).backward()
     x_probe, k_probe = r.normal(size=x.shape), r.normal(size=k.shape)
@@ -266,6 +269,37 @@ def _check_adjoint(r, x, k, stride, pad):
     lhs_k = np.vdot(loop_conv(x, k_probe, stride, pad), g)
     assert rel_err(lhs_x, np.vdot(x_probe, xt.grad)) <= 1e-10
     assert rel_err(lhs_k, np.vdot(k_probe, kt.grad)) <= 1e-10
+    if bt is not None:
+        b_probe = r.normal(size=bias.shape)
+        lhs_b = np.vdot(np.broadcast_to(b_probe.reshape((o,) + (1,) * len(ksh)), g.shape), g)
+        assert rel_err(lhs_b, np.vdot(b_probe, bt.grad)) <= 1e-10
+
+
+@pytest.mark.parametrize("ksh,stride,pad,insh", [CONV_GRAD_CASES[1], CONV_GRAD_CASES[5]])
+def test_biased_conv_gradients_satisfy_adjoint_identity(ksh, stride, pad, insh):
+    r = np.random.default_rng(sum(ksh + stride + pad + insh) + 1)
+    c, o = int(r.integers(1, 4)), int(r.integers(2, 4))
+    _check_adjoint(r, r.normal(size=(2, c) + insh), r.normal(size=(o, c) + ksh),
+                   stride, pad, bias=r.normal(size=o))
+
+
+@pytest.mark.parametrize("nd", [2, 3])
+def test_conv_bias_is_added_to_the_bias_free_conv(nd):
+    r = np.random.default_rng(nd)
+    n, c, o = 3, 2, 4
+    ksh, insh = (3,) * nd, (5,) * (nd - 1) + (6,)
+    x, k, b = r.normal(size=(n, c) + insh), r.normal(size=(o, c) + ksh), r.normal(size=o)
+    op = T.conv2d if nd == 2 else T.conv3d
+    spec = T.ConvSpec(ksh, (1,) * nd, (1,) * nd, c, o)
+    plain = op(Tensor(x), Tensor(k), spec)  # the three-argument call
+    bt = Tensor(b, requires_grad=True)
+    y = op(Tensor(x), Tensor(k), spec, bt)
+    np.testing.assert_array_equal(y.data, plain.data + b.reshape((o,) + (1,) * nd))
+    g = r.normal(size=y.shape)
+    T.tsum(T.mul(y, Tensor(g))).backward()
+    np.testing.assert_array_equal(bt.grad, g.sum(axis=(0,) + tuple(range(2, nd + 2))))
+    with pytest.raises(ShapeError, match="bias"):
+        op(Tensor(x), Tensor(k), spec, Tensor(np.zeros(o + 1)))
 
 
 # (N, C, O, kernel, stride, padding, input extents), each over several
@@ -353,6 +387,31 @@ def test_maxpool_hand_example():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+def _tied_pool_input(shape, seed):
+    """Small integers, so most windows tie, plus two hand-set tied windows."""
+    x = np.random.default_rng(seed).integers(0, 3, size=shape).astype(float)
+    first = (0,) * (len(shape) - 2)
+    x[first + (slice(0, 2), slice(0, 2))] = 5.0                 # all four equal
+    x[first + (slice(0, 2), slice(2, 4))] = [[1.0, 7.0], [0.0, 7.0]]  # (0,1) and (1,1)
+    return x
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 2, 3, 4, 6)])
+def test_maxpool_ties_route_to_the_first_maximal_entry(shape):
+    x = _tied_pool_input(shape, len(shape))
+    xt = Tensor(x, requires_grad=True)
+    out = T.maxpool2x2(xt)
+    g = np.random.default_rng(1).normal(size=out.shape)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    ref_out, ref_dx = loop_maxpool(x, g)
+    np.testing.assert_array_equal(out.data, ref_out)
+    np.testing.assert_array_equal(xt.grad, ref_dx)
+    lead = (0,) * (len(shape) - 2)
+    assert xt.grad[lead + (0, 0)] == g[lead + (0, 0)]
+    assert xt.grad[lead + (0, 3)] == g[lead + (0, 1)]
+    assert xt.grad[lead + (1, 3)] == 0.0
+
+
 def test_maxpool_odd_extent_raises():
     with pytest.raises(ShapeError):
         T.maxpool2x2(Tensor(np.zeros((1, 1, 5, 4))))
@@ -388,6 +447,19 @@ def test_dropout_backward_uses_same_mask():
     out = T.dropout(x, 0.5, Rng(7))
     T.tsum(out).backward()
     np.testing.assert_array_equal(x.grad, out.data)  # mask * 1 either way
+
+
+def test_dropout_equals_the_float_mask_product_byte_for_byte():
+    # Negative inputs give signed zeros where units drop; output and
+    # gradient must match the products with a float mask exactly.
+    rate, shape = 0.3, (6, 50)
+    x = Tensor(np.random.default_rng(0).normal(size=shape), requires_grad=True)
+    g = np.random.default_rng(1).normal(size=shape)
+    out = T.dropout(x, rate, Rng(7))
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    mask = (Rng(7).random(shape) >= rate) * (1.0 / (1.0 - rate))
+    assert out.data.tobytes() == (x.data * mask).tobytes()
+    assert x.grad.tobytes() == (np.zeros(shape) + g * mask).tobytes()
 
 
 def test_dropout_validation():
