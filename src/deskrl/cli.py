@@ -11,17 +11,32 @@ file is written. Runs are laid out as
 per-seed status, and the complete file inventory. Errors exit nonzero with
 a machine-readable JSON object on stderr.
 
+`run_training` trains a grid's cells in parallel, one per CPU of the
+process's affinity mask (`taskset -c 0 deskrl train ...` trains one at a
+time). The workers are the calling process and forked children; each takes
+the next unclaimed cell in grid order and runs `trainer.train` on it, so
+every file is byte-identical to a one-worker run. Workers report on pipes to
+one thread in the caller, the only writer of manifest.json. A failed cell
+stops the hand-out; the cells already running finish, and the earliest
+failure in grid order is re-raised. No worker outlives the call.
+
 The DESKRL_OUTPUT_ROOT environment variable sets the default output root.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import pickle
+import select
+import signal
 import sys
+import threading
 
 import yaml
 
@@ -29,6 +44,7 @@ from . import __version__
 from .agents import PRESETS, AgentHyperparams, is_int, preset
 from .report import build_report, collect_run_scores, render_svg
 from .selfcheck import run_selfcheck
+from .serialize import atomic_write
 from .trainer import CellSettings, TrainConfig, grid_problems, train
 
 __all__ = ["main", "load_run_config", "RunConfig"]
@@ -117,37 +133,266 @@ def _write_manifest(out_dir, cfg: RunConfig, statuses: dict, inventory: dict) ->
                   for e in cfg.envs for s in cfg.seeds},
     }
     manifest["files"]["."] = ["manifest.json", "config.yaml"]
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
+# -- the worker pool ----------------------------------------------------------
+#
+# Cells are handed out through a pipe that holds each cell's index as 4
+# bytes and whose write end is closed before the first fork: a read takes
+# the next index whole, returns b"" once the pipe is empty, and never blocks.
+# Each worker reports on a pipe of its own: (cell, "running" | "done" |
+# "failed", summary | exception), pickled behind an 8-byte length.
+
+_RECORD = 4
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+@functools.cache
+def _libc() -> ctypes.CDLL:
+    """The C library, for `prctl` and `sched_getcpu`, which `os` lacks. Used
+    only to fork, and only a process whose affinity mask `os` reads forks."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes, libc.prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    libc.sched_getcpu.argtypes, libc.sched_getcpu.restype = (), ctypes.c_int
+    return libc
+
+
+def _cpu_count() -> int:
+    """The CPUs of the process's affinity mask; 1 where `os` cannot read it."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _task_pipe(count: int) -> int:
+    """A pipe holding the cell indices 0..count-1; returns its read end."""
+    records = b"".join(i.to_bytes(_RECORD, "little") for i in range(count))
+    r, w = os.pipe()
+    try:
+        if len(records) > 1 << 16:  # more than a pipe holds by default
+            import fcntl
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, len(records))
+        os.write(w, records)
+    finally:
+        os.close(w)
+    return r
+
+
+def _claim(tasks: int) -> int | None:
+    """The next unclaimed cell, or None once none is left."""
+    record = os.read(tasks, _RECORD)
+    return int.from_bytes(record, "little") if record else None
+
+
+def _stop_handing_out(tasks: int) -> None:
+    while os.read(tasks, 1 << 16):
+        pass
+
+
+def _send(fd: int, message) -> None:
+    data = pickle.dumps(message)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """`exc` if it survives pickling, else a RuntimeError naming its type."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _work(cell, tasks: int, report: int, train_cell) -> None:
+    """Train cells from `cell` on until none is left or one fails."""
+    while cell is not None:
+        _send(report, (cell, "running", None))
+        try:
+            summary = train_cell(cell)
+        except Exception as exc:
+            _stop_handing_out(tasks)
+            _send(report, (cell, "failed", _portable(exc)))
+            return
+        _send(report, (cell, "done", summary))
+        cell = _claim(tasks)
+
+
+def _child_work(parent: int, parent_cpu: int, tasks: int, report: int, train_cell,
+                inherited) -> None:
+    """A forked worker's whole life; it ends in os._exit, never returns."""
+    code = 1
+    try:
+        for fd in inherited:  # read ends of the report pipes
+            os.close(fd)
+        if _libc().prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+        if os.getppid() == parent:  # else the caller died before prctl
+            # Move off the caller's CPU, then take the whole mask back. Left
+            # where fork put it, a child shares the caller's CPU for tens of
+            # ms; kept pinned, its BLAS threads would share its few CPUs.
+            mask = os.sched_getaffinity(0)
+            if mask - {parent_cpu}:
+                os.sched_setaffinity(0, mask - {parent_cpu})
+                os.sched_setaffinity(0, mask)
+            _work(_claim(tasks), tasks, report, train_cell)
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _reports(fds: list[int]):
+    """Yield (fd, message) from the workers' report pipes in arrival order,
+    and (fd, None) when a worker's pipe closes; closes each pipe at its end."""
+    pending = {fd: bytearray() for fd in fds}
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    while pending:
+        for fd, _ in poller.poll():
+            chunk = os.read(fd, 1 << 16)
+            buf = pending[fd]
+            buf += chunk
+            while len(buf) >= 8:
+                end = 8 + int.from_bytes(buf[:8], "little")
+                if len(buf) < end:
+                    break
+                yield fd, pickle.loads(buf[8:end])
+                del buf[:end]
+            if not chunk:
+                poller.unregister(fd)
+                os.close(fd)
+                del pending[fd]
+                yield fd, None
+
+
+class _ManifestWriter(threading.Thread):
+    """The one writer of manifest.json: applies each worker report in turn."""
+
+    def __init__(self, out_dir, cfg: RunConfig, cells: list, fds: list[int],
+                 tasks: int, quiet: bool):
+        super().__init__(name="deskrl-manifest", daemon=True)
+        self.out_dir, self.cfg, self.cells = out_dir, cfg, cells
+        self.fds, self.tasks, self.quiet = fds, tasks, quiet
+        self.statuses: dict = {}
+        self.inventory: dict = {}
+        self.failures: dict[int, BaseException] = {}
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        running = {}
+        for fd, message in _reports(self.fds):
+            if message is None:
+                if fd not in running:
+                    continue
+                # The worker ended without reporting on its cell: it crashed,
+                # was killed, or the caller's cell raised a BaseException.
+                _stop_handing_out(self.tasks)
+                cell = running[fd]
+                message = (cell, "failed", RuntimeError(
+                    f"the worker training {self._label(cell)} exited before it finished"))
+            cell, status, payload = message
+            if status == "running":
+                running[fd] = cell
+            else:
+                running.pop(fd, None)
+            if self.error is None:  # after a failed write, only drain the pipes
+                try:
+                    self._apply(cell, status, payload)
+                except Exception as exc:  # re-raised by run_training
+                    _stop_handing_out(self.tasks)
+                    self.error = exc
+
+    def _label(self, cell: int) -> str:
+        env, seed = self.cells[cell]
+        return f"{env} seed{seed}"
+
+    def _apply(self, cell: int, status: str, payload) -> None:
+        key = self.cells[cell]
+        self.statuses[key] = status
+        if status == "done":
+            self.inventory[key] = payload["files"]
+        elif status == "failed":
+            self.failures[cell] = payload
+        _write_manifest(self.out_dir, self.cfg, self.statuses, self.inventory)
+        if status == "done" and not self.quiet:
+            print(f"[train] {self.cfg.preset} {self._label(cell)}: "
+                  f"{payload['steps']} steps, {payload['updates']} updates")
+
+
 def run_training(cfg: RunConfig, quiet: bool = False) -> str:
-    """Execute every (env, seed) cell of the run grid; returns the run dir."""
+    """Train every (env, seed) cell of the run grid; returns the run dir.
+
+    Uses min(cells, CPUs in the affinity mask) workers: this process and
+    forked children, started after config.yaml and the first manifest are
+    written. With one worker nothing is forked. Raises the exception of the
+    earliest failed cell in grid order once every worker has ended; one
+    that does not pickle comes back as RuntimeError("<Type>: <message>").
+    """
     out_dir = cfg.resolved_output_dir()
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.yaml"), "w") as f:
         yaml.safe_dump(cfg.canonical(), f, sort_keys=True)
     hp = cfg.hyperparams()
-    statuses: dict = {}
-    inventory: dict = {}
-    _write_manifest(out_dir, cfg, statuses, inventory)
-    for env in cfg.envs:
-        for seed in cfg.seeds:
-            statuses[(env, seed)] = "running"
-            _write_manifest(out_dir, cfg, statuses, inventory)
-            tc = TrainConfig(env=env, seed=seed, **cfg.cell_settings())
+    cells = [(env, seed) for env in cfg.envs for seed in cfg.seeds]
+    _write_manifest(out_dir, cfg, {}, {})
+
+    def train_cell(cell: int) -> dict:
+        env, seed = cells[cell]
+        tc = TrainConfig(env=env, seed=seed, **cfg.cell_settings())
+        return train(tc, hp, os.path.join(out_dir, env, f"seed{seed}"))
+
+    tasks = _task_pipe(len(cells))
+    # Taken before the forks, so the caller trains a cell however fast the
+    # children start.
+    mine = _claim(tasks)
+    caller = os.getpid()
+    children: list[int] = []
+    fds: list[int] = []
+    writer = None
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for _ in range(min(len(cells), _cpu_count()) - 1):
+            r, w = os.pipe()
+            fds.append(r)
             try:
-                summary = train(tc, hp, os.path.join(out_dir, env, f"seed{seed}"))
-            except Exception:
-                statuses[(env, seed)] = "failed"
-                _write_manifest(out_dir, cfg, statuses, inventory)
-                raise
-            statuses[(env, seed)] = "done"
-            inventory[(env, seed)] = summary["files"]
-            _write_manifest(out_dir, cfg, statuses, inventory)
-            if not quiet:
-                print(f"[train] {cfg.preset} {env} seed{seed}: "
-                      f"{summary['steps']} steps, {summary['updates']} updates")
+                cpu = _libc().sched_getcpu()
+                pid = os.fork()
+                if pid == 0:
+                    _child_work(caller, cpu, tasks, w, train_cell, fds)
+            finally:
+                os.close(w)
+            children.append(pid)
+        r, w = os.pipe()
+        fds.append(r)
+        # Started after the last fork: a fork never copies a second thread.
+        writer = _ManifestWriter(out_dir, cfg, cells, fds, tasks, quiet)
+        writer.start()
+        try:
+            _work(mine, tasks, w, train_cell)
+        finally:
+            os.close(w)
+        while children:
+            os.waitpid(children[-1], 0)
+            children.pop()
+    finally:
+        for pid in children:  # only after an exception: stop and reap the rest
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        if writer is not None:
+            writer.join()
+        else:
+            for fd in fds:
+                os.close(fd)
+        os.close(tasks)
+    if writer.failures:
+        raise writer.failures[min(writer.failures)]
+    if writer.error is not None:
+        raise writer.error
     return out_dir
 
 

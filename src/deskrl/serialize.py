@@ -3,10 +3,16 @@
 Layout: 8-byte magic, u64-LE header length, UTF-8 JSON header, then raw
 little-endian float64 array data in header order. Round-trips byte-exactly,
 which checkpoint and resume tests rely on.
+
+`atomic_write` is how deskrl replaces a file (checkpoints, `updates.json`,
+`manifest.json`): the bytes go to a temp file in the same directory, which
+then replaces the target with `os.replace`, so a reader or a killed writer
+sees the old file or the new one, never a part of either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -15,7 +21,26 @@ import numpy as np
 
 MAGIC = b"DESKRL01"
 
-__all__ = ["write_container", "read_container"]
+__all__ = ["atomic_write", "write_container", "read_container"]
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temp file beside `path`; when the block ends without raising it
+    replaces `path`, and when it raises it is removed and `path` is untouched.
+
+    The temp name starts with a dot, so listings of a run's files skip it.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -25,7 +50,7 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     }
     # Canonical JSON so identical state always produces identical bytes.
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)

@@ -32,7 +32,7 @@ from .agents import Agent, AgentHyperparams, is_int
 from .envs import ENV_REGISTRY, GRID, NUM_ACTIONS, VecEnv, normalized_return
 from .rng import Rng
 from .rollout import Collector
-from .serialize import read_container, write_container
+from .serialize import atomic_write, read_container, write_container
 
 __all__ = ["CellSettings", "TrainConfig", "grid_problems", "train", "evaluate_policy",
            "METRICS_COLUMNS"]
@@ -268,26 +268,29 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
             {"trainer_state": state, "hp": asdict(hp), "config": asdict(config)},
             arrays)
 
-    while steps_done < config.total_steps:
-        buf, finished = collector.collect(agent.select_action, horizon)
-        steps_done += horizon * config.num_envs
-        for r in finished:
-            metrics.row(steps_done, "train", config.env, config.seed,
-                        r, normalized_return(spec, r))
-        bootstrap = agent.value_estimate(collector.stack.stacked())
-        buf.finalize(bootstrap, hp.gamma, hp.gae_lambda)
-        stats = agent.update(buf)
-        update_idx += 1
-        update_log.append({"update": update_idx, "step": steps_done,
-                           **asdict(stats)})
-        while next_eval <= steps_done:
-            run_eval()
-            next_eval += config.eval_interval
-        if config.checkpoint_interval and update_idx % config.checkpoint_interval == 0:
-            save_ckpt()
-
-    metrics.close()
-    with open(os.path.join(out_dir, "updates.json"), "w") as f:
+    # Closed however the loop ends, so a failed cell's rows reach the disk
+    # even while its exception is still held.
+    try:
+        while steps_done < config.total_steps:
+            buf, finished = collector.collect(agent.select_action, horizon)
+            steps_done += horizon * config.num_envs
+            for r in finished:
+                metrics.row(steps_done, "train", config.env, config.seed,
+                            r, normalized_return(spec, r))
+            bootstrap = agent.value_estimate(collector.stack.stacked())
+            buf.finalize(bootstrap, hp.gamma, hp.gae_lambda)
+            stats = agent.update(buf)
+            update_idx += 1
+            update_log.append({"update": update_idx, "step": steps_done,
+                               **asdict(stats)})
+            while next_eval <= steps_done:
+                run_eval()
+                next_eval += config.eval_interval
+            if config.checkpoint_interval and update_idx % config.checkpoint_interval == 0:
+                save_ckpt()
+    finally:
+        metrics.close()
+    with atomic_write(os.path.join(out_dir, "updates.json")) as f:
         json.dump(update_log, f, indent=1, sort_keys=True)
     return {
         "env": config.env, "seed": config.seed, "steps": steps_done,

@@ -1,6 +1,11 @@
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,10 @@ import yaml
 from deskrl import cli, tensor
 from deskrl.agents import preset
 from deskrl.cli import RunConfig, load_run_config, main
+from deskrl.envs import VecEnv
 from deskrl.trainer import TrainConfig
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SMALL_CONFIG = {
     "preset": "vsop",
@@ -228,3 +236,232 @@ def test_aggregate_missing_dir_fails_cleanly(tmp_path, capsys):
     assert main(["aggregate", f"x={tmp_path / 'nope'}"]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] in ("FileNotFoundError", "ValueError")
+
+
+# -- parallel cells ------------------------------------------------------------
+
+# 2 envs x 2 seeds of ppo, evaluated and checkpointed after every update.
+GRID_CONFIG = {"preset": "ppo", "envs": ["chase_dot", "blink_door"], "seeds": [3, 4],
+               "total_steps": 64, "eval_interval": 32, "eval_episodes": 4,
+               "checkpoint_interval": 1, "hyperparam_overrides": {"batch_size": 32}}
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_parallel_grid_is_byte_identical_to_one_worker(tmp_path, monkeypatch):
+    # Both runs write to the same output_dir, so config.yaml and
+    # manifest.json must match too.
+    run = tmp_path / "run"
+    cfg = load_run_config(write_config(tmp_path, output_dir=str(run), **GRID_CONFIG))
+    trees = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        assert cli.run_training(cfg, quiet=True) == str(run)
+        trees[workers] = tree_bytes(run)
+        run.rename(tmp_path / f"workers{workers}")
+    assert sorted(trees[2]) == sorted(trees[1])
+    assert "manifest.json" in trees[2] and "chase_dot/seed3/ckpt_update2.bin" in trees[2]
+    assert [name for name in trees[2] if trees[2][name] != trees[1][name]] == []
+    manifest = json.loads(trees[2]["manifest.json"])
+    assert set(manifest["status"].values()) == {"done"}
+
+
+def test_task_pipe_hands_out_a_grid_larger_than_a_default_pipe():
+    count = (1 << 16) // 4 + 100  # more 4-byte indices than 64 KiB holds
+    tasks = cli._task_pipe(count)
+    try:
+        assert [cli._claim(tasks) for _ in range(count + 1)] == list(range(count)) + [None]
+    finally:
+        os.close(tasks)
+
+
+def fake_summary(cell_dir) -> dict:
+    return {"files": ["metrics.csv", "updates.json"], "steps": 0, "updates": 0}
+
+
+def recording_fork(monkeypatch) -> list[int]:
+    forked = []
+    fork = os.fork
+
+    def record():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", record)
+    return forked
+
+
+def test_more_workers_than_cores_train_each_cell_once(tmp_path, monkeypatch):
+    def train(tc, hp, cell_dir):
+        os.makedirs(cell_dir)  # raises if a second worker took the same cell
+        time.sleep(0.01)
+        return fake_summary(cell_dir)
+
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+    forked = recording_fork(monkeypatch)
+    run = tmp_path / "run"
+    cfg = load_run_config(write_config(tmp_path, output_dir=str(run),
+                                       envs=["chase_dot", "blink_door"], seeds=list(range(12))))
+    cli.run_training(cfg, quiet=True)
+    assert len(forked) == 3
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert set(manifest["status"].values()) == {"done"} and len(manifest["status"]) == 24
+    assert sorted(p.name for p in run.glob("*/seed*")) == sorted(
+        f"seed{s}" for s in range(12) for _ in range(2))
+
+
+class StopAtFirstStep(BaseException):
+    """Like the benchmark's set-up probe: raised at the caller's first env step."""
+
+
+def test_base_exception_in_the_callers_cell_leaves_no_worker(tmp_path, monkeypatch):
+    caller = os.getpid()
+    step = VecEnv.step
+
+    def first_step(self, actions):
+        if os.getpid() == caller:
+            raise StopAtFirstStep
+        return step(self, actions)
+
+    monkeypatch.setattr(VecEnv, "step", first_step)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    forked = recording_fork(monkeypatch)
+    ends = []
+    waitpid = os.waitpid
+
+    def recording_waitpid(pid, options):
+        ends.append(waitpid(pid, options))
+        return ends[-1]
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    cfg = load_run_config(write_config(tmp_path, output_dir=str(tmp_path / "run")))
+    with pytest.raises(StopAtFirstStep):
+        cli.run_training(cfg, quiet=True)
+    assert len(forked) == 1
+    # The worker was stopped, not waited for, and reaped: it is no longer a
+    # child of this process.
+    assert [(pid, os.WIFSIGNALED(status) and os.WTERMSIG(status)) for pid, status in ends] \
+        == [(forked[0], signal.SIGKILL)]
+    with pytest.raises(ChildProcessError):
+        waitpid(forked[0], os.WNOHANG)
+
+
+def proc_stat(pid) -> tuple[str, int] | None:
+    """(state, parent pid) of a process, or None if it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def is_live(pid) -> bool:
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] not in "ZX"
+
+
+def live_children(parent: int) -> set[int]:
+    stats = {int(pid): proc_stat(pid) for pid in os.listdir("/proc") if pid.isdigit()}
+    return {pid for pid, stat in stats.items()
+            if stat and stat[1] == parent and stat[0] not in "ZX"}
+
+
+def test_killed_train_leaves_no_worker(tmp_path):
+    run = tmp_path / "run"
+    cfg_path = write_config(tmp_path, output_dir=str(run), total_steps=10**7)
+    # `deskrl train` with two workers on any machine.
+    code = ("import sys; from deskrl import cli; cli._cpu_count = lambda: 2; "
+            f"sys.exit(cli.main(['train', {cfg_path!r}]))")
+    proc = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        status = {}
+        while time.monotonic() < deadline and set(status.values()) != {"running"}:
+            time.sleep(0.05)
+            try:
+                status = json.loads((run / "manifest.json").read_text())["status"]
+            except (OSError, ValueError):
+                pass
+        assert set(status.values()) == {"running"}, status
+        workers = live_children(proc.pid)
+        assert len(workers) == 1
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    deadline = time.monotonic() + 2
+    while time.monotonic() < deadline and any(map(is_live, workers)):
+        time.sleep(0.02)
+    assert not any(map(is_live, workers))
+
+
+def wait_for_status(run: Path, cell: str, states: set[str]) -> None:
+    """Wait until the manifest shows `cell` in one of `states`, so that the
+    caller's cell does not end before the worker has taken its own."""
+    deadline = time.monotonic() + 30
+    while json.loads((run / "manifest.json").read_text())["status"][cell] not in states:
+        assert time.monotonic() < deadline, f"{cell} never reached {states}"
+        time.sleep(0.01)
+
+
+def test_a_failed_cell_in_a_worker_is_recorded_and_reported(tmp_path, monkeypatch, capsys):
+    caller = os.getpid()
+    out = tmp_path / "run"
+
+    def train(tc, hp, cell_dir):
+        if os.getpid() != caller:
+            raise ZeroDivisionError(f"{tc.env} seed{tc.seed} broke in a worker")
+        wait_for_status(out, "chase_dot/seed1", {"running", "failed"})
+        return fake_summary(cell_dir)
+
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert main(["train", write_config(tmp_path, output_dir=str(out))]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "ZeroDivisionError",
+                       "message": "chase_dot seed1 broke in a worker"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == {"chase_dot/seed0": "done", "chase_dot/seed1": "failed"}
+
+
+def test_earliest_failed_cell_is_raised_and_unpicklable_errors_keep_their_name(
+        tmp_path, monkeypatch):
+    caller = os.getpid()
+    run = tmp_path / "run"
+
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    def train(tc, hp, cell_dir):
+        if os.getpid() != caller:
+            raise Unpicklable(f"seed{tc.seed} failed")
+        # The caller's cell 0 fails after the worker's cell 1 has.
+        wait_for_status(run, "chase_dot/seed1", {"failed"})
+        if fail_in_caller:
+            raise KeyError("seed0 failed")
+        return fake_summary(cell_dir)
+
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    cfg = load_run_config(write_config(tmp_path, output_dir=str(run), seeds=[0, 1, 2]))
+    fail_in_caller = True
+    with pytest.raises(KeyError, match="seed0 failed"):
+        cli.run_training(cfg, quiet=True)
+    manifest = json.loads((run / "manifest.json").read_text())
+    # seed2 is never handed out once a cell has failed
+    assert manifest["status"] == {"chase_dot/seed0": "failed", "chase_dot/seed1": "failed",
+                                  "chase_dot/seed2": "pending"}
+
+    fail_in_caller = False
+    with pytest.raises(RuntimeError, match="^Unpicklable: seed1 failed$"):
+        cli.run_training(cfg, quiet=True)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["status"] == {"chase_dot/seed0": "done", "chase_dot/seed1": "failed",
+                                  "chase_dot/seed2": "pending"}

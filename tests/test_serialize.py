@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deskrl.rng import Rng
+from deskrl import serialize
 from deskrl.serialize import MAGIC, read_container, write_container
 
 
@@ -73,3 +74,21 @@ def test_trailing_bytes_are_rejected(tmp_path):
     path = _damaged(tmp_path, lambda b: b + b"\x00" * 8)
     with pytest.raises(ValueError, match=r"c\.bin: 8 unexpected bytes"):
         read_container(path)
+
+
+def test_a_write_that_raises_leaves_the_old_file(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, {"x": 1}, {"a": np.zeros(3)})
+    before = path.read_bytes()
+    # The header and the first array are written before the second fails.
+    with pytest.raises(ValueError):
+        write_container(path, {"x": 2}, {"a": np.ones(3), "b": np.array(["not a float"])})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
+
+    with pytest.raises(RuntimeError):
+        with serialize.atomic_write(path, "wb") as f:
+            f.write(b"partial")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from deskrl import agents
 from deskrl.agents import Agent, preset
 from deskrl.envs import VecEnv
 from deskrl.rng import Rng
@@ -193,3 +194,24 @@ def test_evaluate_policy_stops_at_the_last_episode(monkeypatch):
     cfg = small_config(env="corridor_dodge", num_envs=1)
     assert len(evaluate_policy(agent, cfg, Rng(5).split("eval"), num_episodes=1)) == 1
     assert dones[-1] and not any(dones[:-1])
+
+
+def test_failed_cell_leaves_its_rows_on_disk(tmp_path, monkeypatch):
+    # The rows must reach the disk while the exception is still held: a
+    # worker process that ends in os._exit never releases it.
+    update = agents.Agent.update
+    calls = []
+
+    def update_then_fail(self, buf):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("update 2 failed")
+        return update(self, buf)
+
+    monkeypatch.setattr(agents.Agent, "update", update_then_fail)
+    cfg = small_config(total_steps=768)  # evaluates after update 1
+    with pytest.raises(RuntimeError, match="update 2 failed") as err:
+        train(cfg, SMALL_PPO, tmp_path)
+    rows = read_rows(tmp_path / "metrics.csv")
+    assert err.value is not None
+    assert [r[0] for r in rows if r[1] == "test"] == ["256"] * cfg.eval_episodes
