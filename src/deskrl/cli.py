@@ -14,11 +14,14 @@ a machine-readable JSON object on stderr.
 `run_training` trains a grid's cells in parallel, one per CPU of the
 process's affinity mask (`taskset -c 0 deskrl train ...` trains one at a
 time). The workers are the calling process and forked children; each takes
-the next unclaimed cell in grid order and runs `trainer.train` on it, so
-every file is byte-identical to a one-worker run. Workers report on pipes to
-one thread in the caller, the only writer of manifest.json. A failed cell
+the first pending cell in grid order and runs `trainer.train` on it, so
+every file is byte-identical to a one-worker run. manifest.json is the
+queue and the status record: a worker claims a cell and records its end
+there itself, each time under a lock on the run directory. A failed cell
 stops the hand-out; the cells already running finish, and the earliest
-failure in grid order is re-raised. No worker outlives the call.
+failure in grid order is re-raised. A cell whose worker died without
+raising is marked failed once every worker has ended. No worker outlives
+the call.
 
 The DESKRL_OUTPUT_ROOT environment variable sets the default output root.
 """
@@ -26,17 +29,17 @@ The DESKRL_OUTPUT_ROOT environment variable sets the default output root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
+import fcntl
 import functools
 import hashlib
 import json
 import os
 import pickle
-import select
 import signal
 import sys
-import threading
 
 import yaml
 
@@ -100,8 +103,12 @@ class RunConfig(CellSettings):
         return {**dataclasses.asdict(self), "hyperparams": dataclasses.asdict(self.hyperparams())}
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _digest(self.canonical())
+
+
+def _digest(canonical: dict) -> str:
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
@@ -122,30 +129,30 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_manifest(out_dir, cfg: RunConfig, statuses: dict, inventory: dict) -> None:
+def _write_manifest(out_dir, canonical: dict, keys: list[str]) -> None:
+    """The first manifest: every cell pending, with no files."""
     manifest = {
         "artifact_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "config": cfg.canonical(),
-        "status": {f"{e}/seed{s}": statuses.get((e, s), "pending")
-                   for e in cfg.envs for s in cfg.seeds},
-        "files": {f"{e}/seed{s}": inventory.get((e, s), [])
-                  for e in cfg.envs for s in cfg.seeds},
+        "config_hash": _digest(canonical),
+        "config": canonical,
+        "status": dict.fromkeys(keys, "pending"),
+        "files": {**{key: [] for key in keys}, ".": ["manifest.json", "config.yaml"]},
     }
-    manifest["files"]["."] = ["manifest.json", "config.yaml"]
     with atomic_write(os.path.join(out_dir, "manifest.json")) as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
 # -- the worker pool ----------------------------------------------------------
 #
-# Cells are handed out through a pipe that holds each cell's index as 4
-# bytes and whose write end is closed before the first fork: a read takes
-# the next index whole, returns b"" once the pipe is empty, and never blocks.
-# Each worker reports on a pipe of its own: (cell, "running" | "done" |
-# "failed", summary | exception), pickled behind an 8-byte length.
+# manifest.json is the pool's only shared state, both the cell queue and the
+# status record. Every change to it is a read-modify-write under an
+# exclusive flock on the run directory. Each change opens the directory
+# anew, so no two processes share the locked descriptor (a lock on an
+# inherited one would not exclude the other process), and the kernel drops
+# the lock if its holder dies. Each forked worker has one pipe to the
+# caller, on which it writes one pickled (cell, exception) if a cell of its
+# own fails, and nothing otherwise.
 
-_RECORD = 4
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
@@ -164,36 +171,34 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _task_pipe(count: int) -> int:
-    """A pipe holding the cell indices 0..count-1; returns its read end."""
-    records = b"".join(i.to_bytes(_RECORD, "little") for i in range(count))
-    r, w = os.pipe()
+@contextlib.contextmanager
+def _locked_manifest(out_dir):
+    """Yield the run's manifest with the run directory locked; it is written
+    back when the block ends without raising."""
+    path = os.path.join(out_dir, "manifest.json")
+    fd = os.open(out_dir, os.O_RDONLY)
     try:
-        if len(records) > 1 << 16:  # more than a pipe holds by default
-            import fcntl
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, len(records))
-        os.write(w, records)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        with open(path) as f:
+            manifest = json.load(f)
+        yield manifest
+        with atomic_write(path) as f:  # the first manifest's bytes, round-tripped
+            json.dump(manifest, f, indent=1, sort_keys=True)
     finally:
-        os.close(w)
-    return r
+        os.close(fd)  # and with it the lock
 
 
-def _claim(tasks: int) -> int | None:
-    """The next unclaimed cell, or None once none is left."""
-    record = os.read(tasks, _RECORD)
-    return int.from_bytes(record, "little") if record else None
-
-
-def _stop_handing_out(tasks: int) -> None:
-    while os.read(tasks, 1 << 16):
-        pass
-
-
-def _send(fd: int, message) -> None:
-    data = pickle.dumps(message)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
+def _claim(out_dir, keys: list[str]) -> int | None:
+    """Mark the first pending cell running and return it; None once none is
+    pending or any cell has failed."""
+    with _locked_manifest(out_dir) as manifest:
+        status = manifest["status"]
+        if "failed" not in status.values():
+            for cell, key in enumerate(keys):
+                if status[key] == "pending":
+                    status[key] = "running"
+                    return cell
+    return None
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -204,27 +209,10 @@ def _portable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _work(cell, tasks: int, report: int, train_cell) -> None:
-    """Train cells from `cell` on until none is left or one fails."""
-    while cell is not None:
-        _send(report, (cell, "running", None))
-        try:
-            summary = train_cell(cell)
-        except Exception as exc:
-            _stop_handing_out(tasks)
-            _send(report, (cell, "failed", _portable(exc)))
-            return
-        _send(report, (cell, "done", summary))
-        cell = _claim(tasks)
-
-
-def _child_work(parent: int, parent_cpu: int, tasks: int, report: int, train_cell,
-                inherited) -> None:
+def _child_work(parent: int, parent_cpu: int, report: int, work) -> None:
     """A forked worker's whole life; it ends in os._exit, never returns."""
     code = 1
     try:
-        for fd in inherited:  # read ends of the report pipes
-            os.close(fd)
         if _libc().prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
             raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
         if os.getppid() == parent:  # else the caller died before prctl
@@ -235,89 +223,13 @@ def _child_work(parent: int, parent_cpu: int, tasks: int, report: int, train_cel
             if mask - {parent_cpu}:
                 os.sched_setaffinity(0, mask - {parent_cpu})
                 os.sched_setaffinity(0, mask)
-            _work(_claim(tasks), tasks, report, train_cell)
+            failure = work()
+            if failure is not None:
+                with open(report, "wb") as f:
+                    pickle.dump((failure[0], _portable(failure[1])), f)
             code = 0
     finally:
         os._exit(code)
-
-
-def _reports(fds: list[int]):
-    """Yield (fd, message) from the workers' report pipes in arrival order,
-    and (fd, None) when a worker's pipe closes; closes each pipe at its end."""
-    pending = {fd: bytearray() for fd in fds}
-    poller = select.poll()
-    for fd in fds:
-        poller.register(fd, select.POLLIN)
-    while pending:
-        for fd, _ in poller.poll():
-            chunk = os.read(fd, 1 << 16)
-            buf = pending[fd]
-            buf += chunk
-            while len(buf) >= 8:
-                end = 8 + int.from_bytes(buf[:8], "little")
-                if len(buf) < end:
-                    break
-                yield fd, pickle.loads(buf[8:end])
-                del buf[:end]
-            if not chunk:
-                poller.unregister(fd)
-                os.close(fd)
-                del pending[fd]
-                yield fd, None
-
-
-class _ManifestWriter(threading.Thread):
-    """The one writer of manifest.json: applies each worker report in turn."""
-
-    def __init__(self, out_dir, cfg: RunConfig, cells: list, fds: list[int],
-                 tasks: int, quiet: bool):
-        super().__init__(name="deskrl-manifest", daemon=True)
-        self.out_dir, self.cfg, self.cells = out_dir, cfg, cells
-        self.fds, self.tasks, self.quiet = fds, tasks, quiet
-        self.statuses: dict = {}
-        self.inventory: dict = {}
-        self.failures: dict[int, BaseException] = {}
-        self.error: BaseException | None = None
-
-    def run(self) -> None:
-        running = {}
-        for fd, message in _reports(self.fds):
-            if message is None:
-                if fd not in running:
-                    continue
-                # The worker ended without reporting on its cell: it crashed,
-                # was killed, or the caller's cell raised a BaseException.
-                _stop_handing_out(self.tasks)
-                cell = running[fd]
-                message = (cell, "failed", RuntimeError(
-                    f"the worker training {self._label(cell)} exited before it finished"))
-            cell, status, payload = message
-            if status == "running":
-                running[fd] = cell
-            else:
-                running.pop(fd, None)
-            if self.error is None:  # after a failed write, only drain the pipes
-                try:
-                    self._apply(cell, status, payload)
-                except Exception as exc:  # re-raised by run_training
-                    _stop_handing_out(self.tasks)
-                    self.error = exc
-
-    def _label(self, cell: int) -> str:
-        env, seed = self.cells[cell]
-        return f"{env} seed{seed}"
-
-    def _apply(self, cell: int, status: str, payload) -> None:
-        key = self.cells[cell]
-        self.statuses[key] = status
-        if status == "done":
-            self.inventory[key] = payload["files"]
-        elif status == "failed":
-            self.failures[cell] = payload
-        _write_manifest(self.out_dir, self.cfg, self.statuses, self.inventory)
-        if status == "done" and not self.quiet:
-            print(f"[train] {self.cfg.preset} {self._label(cell)}: "
-                  f"{payload['steps']} steps, {payload['updates']} updates")
 
 
 def run_training(cfg: RunConfig, quiet: bool = False) -> str:
@@ -327,52 +239,67 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
     forked children, started after config.yaml and the first manifest are
     written. With one worker nothing is forked. Raises the exception of the
     earliest failed cell in grid order once every worker has ended; one
-    that does not pickle comes back as RuntimeError("<Type>: <message>").
+    that does not pickle comes back as RuntimeError("<Type>: <message>"),
+    and a cell whose worker ended without finishing it as a RuntimeError
+    naming the cell.
     """
     out_dir = cfg.resolved_output_dir()
     os.makedirs(out_dir, exist_ok=True)
+    canonical = cfg.canonical()
     with open(os.path.join(out_dir, "config.yaml"), "w") as f:
-        yaml.safe_dump(cfg.canonical(), f, sort_keys=True)
+        yaml.safe_dump(canonical, f, sort_keys=True)
     hp = cfg.hyperparams()
     cells = [(env, seed) for env in cfg.envs for seed in cfg.seeds]
-    _write_manifest(out_dir, cfg, {}, {})
+    keys = [f"{env}/seed{seed}" for env, seed in cells]
+    _write_manifest(out_dir, canonical, keys)
 
-    def train_cell(cell: int) -> dict:
-        env, seed = cells[cell]
-        tc = TrainConfig(env=env, seed=seed, **cfg.cell_settings())
-        return train(tc, hp, os.path.join(out_dir, env, f"seed{seed}"))
+    def work(cell: int | None) -> tuple[int, Exception] | None:
+        """Train cells from `cell` on until none is left or one fails;
+        returns the failed cell and its exception."""
+        while cell is not None:
+            env, seed = cells[cell]
+            try:
+                tc = TrainConfig(env=env, seed=seed, **cfg.cell_settings())
+                summary = train(tc, hp, os.path.join(out_dir, env, f"seed{seed}"))
+            except Exception as exc:
+                with _locked_manifest(out_dir) as manifest:
+                    manifest["status"][keys[cell]] = "failed"
+                return cell, exc
+            with _locked_manifest(out_dir) as manifest:
+                manifest["status"][keys[cell]] = "done"
+                manifest["files"][keys[cell]] = summary["files"]
+            if not quiet:
+                print(f"[train] {cfg.preset} {env} seed{seed}: {summary['steps']} steps, "
+                      f"{summary['updates']} updates", flush=True)
+            cell = _claim(out_dir, keys)
+        return None
 
-    tasks = _task_pipe(len(cells))
     # Taken before the forks, so the caller trains a cell however fast the
     # children start.
-    mine = _claim(tasks)
+    mine = _claim(out_dir, keys)
     caller = os.getpid()
     children: list[int] = []
-    fds: list[int] = []
-    writer = None
+    reports = []  # read ends of the children's pipes
     sys.stdout.flush()
     sys.stderr.flush()
     try:
         for _ in range(min(len(cells), _cpu_count()) - 1):
             r, w = os.pipe()
-            fds.append(r)
+            reports.append(open(r, "rb"))
             try:
                 cpu = _libc().sched_getcpu()
                 pid = os.fork()
                 if pid == 0:
-                    _child_work(caller, cpu, tasks, w, train_cell, fds)
+                    _child_work(caller, cpu, w, lambda: work(_claim(out_dir, keys)))
             finally:
                 os.close(w)
             children.append(pid)
-        r, w = os.pipe()
-        fds.append(r)
-        # Started after the last fork: a fork never copies a second thread.
-        writer = _ManifestWriter(out_dir, cfg, cells, fds, tasks, quiet)
-        writer.start()
-        try:
-            _work(mine, tasks, w, train_cell)
-        finally:
-            os.close(w)
+        failure = work(mine)
+        failures = dict([failure] if failure else [])
+        for report in reports:  # each read ends when its worker does
+            if message := report.read():
+                cell, exc = pickle.loads(message)
+                failures[cell] = exc
         while children:
             os.waitpid(children[-1], 0)
             children.pop()
@@ -383,16 +310,20 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-        if writer is not None:
-            writer.join()
-        else:
-            for fd in fds:
-                os.close(fd)
-        os.close(tasks)
-    if writer.failures:
-        raise writer.failures[min(writer.failures)]
-    if writer.error is not None:
-        raise writer.error
+        for report in reports:
+            report.close()
+        # Every worker has ended, so a cell still running lost its worker: it
+        # crashed, was killed, or the caller's cell raised a BaseException.
+        with _locked_manifest(out_dir) as manifest:
+            lost = [cell for cell, key in enumerate(keys) if manifest["status"][key] == "running"]
+            for cell in lost:
+                manifest["status"][keys[cell]] = "failed"
+    for cell in lost:
+        env, seed = cells[cell]
+        failures.setdefault(cell, RuntimeError(
+            f"the worker training {env} seed{seed} exited before it finished"))
+    if failures:
+        raise failures[min(failures)]
     return out_dir
 
 

@@ -58,9 +58,28 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def _parse_header(path, raw: bytes) -> dict:
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        header = None
+    if not (isinstance(header, dict) and "meta" in header
+            and isinstance(header.get("arrays"), list)
+            and all(map(_is_array_spec, header["arrays"]))):
+        raise ValueError(f"{path}: corrupt header (not a UTF-8 JSON object with 'meta' "
+                         f"and a list of 'arrays', each with a name and a shape)")
+    return header
+
+
+def _is_array_spec(spec) -> bool:
+    return (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(isinstance(n, int) and n >= 0 for n in spec["shape"]))
+
+
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container; raise ValueError naming the path if it is cut short
-    or has bytes after the last array."""
+    """Read a container; raise ValueError naming the path if it is cut short,
+    its header is corrupt, or it has bytes after the last array."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
@@ -74,7 +93,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             return data
 
         (hlen,) = struct.unpack("<Q", read_exact(8, "the header length"))
-        header = json.loads(read_exact(hlen, "the header").decode("utf-8"))
+        header = _parse_header(path, read_exact(hlen, "the header"))
         arrays: dict[str, np.ndarray] = {}
         for spec in header["arrays"]:
             shape = tuple(spec["shape"])

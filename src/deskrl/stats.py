@@ -148,6 +148,8 @@ def aggregate_with_ci(matrix: RunMatrix, num_resamples: int, confidence: float,
 
 def final_score(timeline: np.ndarray, window: int = 100) -> float:
     """Mean of the last `window` evaluation records (all of them if fewer)."""
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
     t = np.asarray(timeline, dtype=np.float64).ravel()
     if t.size == 0:
         raise ValueError("empty timeline")

@@ -238,6 +238,19 @@ def test_aggregate_missing_dir_fails_cleanly(tmp_path, capsys):
     assert payload["error"] in ("FileNotFoundError", "ValueError")
 
 
+def test_aggregate_rejects_a_window_below_one(tmp_path, capsys):
+    cell = tmp_path / "run" / "chase_dot" / "seed0"
+    cell.mkdir(parents=True)
+    (cell / "metrics.csv").write_text("step,split,env,seed,episodic_return,normalized_return\n"
+                                      "64,test,chase_dot,0,1.0,0.5\n")
+    assert main(["aggregate", f"x={tmp_path / 'run'}", "--out", str(tmp_path / "rep"),
+                 "--window", "0"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "ValueError",
+                       "message": "window must be a positive integer, got 0"}
+    assert not (tmp_path / "rep").exists()
+
+
 # -- parallel cells ------------------------------------------------------------
 
 # 2 envs x 2 seeds of ppo, evaluated and checkpointed after every update.
@@ -267,15 +280,6 @@ def test_parallel_grid_is_byte_identical_to_one_worker(tmp_path, monkeypatch):
     assert [name for name in trees[2] if trees[2][name] != trees[1][name]] == []
     manifest = json.loads(trees[2]["manifest.json"])
     assert set(manifest["status"].values()) == {"done"}
-
-
-def test_task_pipe_hands_out_a_grid_larger_than_a_default_pipe():
-    count = (1 << 16) // 4 + 100  # more 4-byte indices than 64 KiB holds
-    tasks = cli._task_pipe(count)
-    try:
-        assert [cli._claim(tasks) for _ in range(count + 1)] == list(range(count)) + [None]
-    finally:
-        os.close(tasks)
 
 
 def fake_summary(cell_dir) -> dict:
@@ -409,6 +413,31 @@ def wait_for_status(run: Path, cell: str, states: set[str]) -> None:
     while json.loads((run / "manifest.json").read_text())["status"][cell] not in states:
         assert time.monotonic() < deadline, f"{cell} never reached {states}"
         time.sleep(0.01)
+
+
+def test_a_worker_that_dies_without_raising_fails_its_cell(tmp_path, monkeypatch):
+    caller = os.getpid()
+    run = tmp_path / "run"
+
+    def train(tc, hp, cell_dir):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        wait_for_status(run, "chase_dot/seed1", {"running"})
+        return fake_summary(cell_dir)
+
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    forked = recording_fork(monkeypatch)
+    cfg = load_run_config(write_config(tmp_path, output_dir=str(run)))
+    with pytest.raises(RuntimeError,
+                       match="^the worker training chase_dot seed1 exited before it finished$"):
+        cli.run_training(cfg, quiet=True)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["status"] == {"chase_dot/seed0": "done", "chase_dot/seed1": "failed"}
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+    assert not (run / ".manifest.json.tmp").exists()
 
 
 def test_a_failed_cell_in_a_worker_is_recorded_and_reported(tmp_path, monkeypatch, capsys):

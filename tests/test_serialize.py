@@ -70,6 +70,23 @@ def test_truncated_header_is_reported(tmp_path):
         read_container(path)
 
 
+@pytest.mark.parametrize("old,new", [
+    (b'{"arrays"', b'["arrays"'),
+    (b'"k"', b'"\xff"'),
+    (b'"arrays"', b'"arrayz"'),
+    (b'"meta"', b'"mext"'),
+    (b'"name"', b'"nome"'),
+    (b'[2,3]', b'"2,3"'),
+    (b'[2,3]', b'[2.5]'),
+], ids=["not-json", "not-utf8", "no-arrays", "no-meta", "no-name", "shape-not-a-list",
+        "shape-not-ints"])
+def test_corrupt_header_names_the_path(tmp_path, old, new):
+    # Same-length edits, so only the header's content is wrong.
+    path = _damaged(tmp_path, lambda b: b.replace(old, new, 1))
+    with pytest.raises(ValueError, match=r"c\.bin: corrupt header"):
+        read_container(path)
+
+
 def test_trailing_bytes_are_rejected(tmp_path):
     path = _damaged(tmp_path, lambda b: b + b"\x00" * 8)
     with pytest.raises(ValueError, match=r"c\.bin: 8 unexpected bytes"):

@@ -176,6 +176,9 @@ def test_final_score_window():
     assert final_score(np.array([0.7]), 100) == pytest.approx(0.7)
     with pytest.raises(ValueError):
         final_score(np.array([]), 10)
+    for window in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            final_score(t, window)
 
 
 def test_final_score_tracks_late_improvement():
