@@ -102,9 +102,6 @@ class RunConfig(CellSettings):
     def canonical(self) -> dict:
         return {**dataclasses.asdict(self), "hyperparams": dataclasses.asdict(self.hyperparams())}
 
-    def config_hash(self) -> str:
-        return _digest(self.canonical())
-
 
 def _digest(canonical: dict) -> str:
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
@@ -352,10 +349,11 @@ def cmd_aggregate(args) -> int:
             label, path = entry.split("=", 1)
         else:
             label, path = os.path.basename(os.path.normpath(entry)), entry
+        if label in agent_dirs:
+            raise ValueError(f"two run dirs have the label {label!r}: "
+                             f"{agent_dirs[label]} and {path}")
         agent_dirs[label] = path
-    report = build_report(agent_dirs, window=args.window,
-                          num_resamples=args.resamples,
-                          stratified=not args.joint_bootstrap)
+    report = build_report(agent_dirs, window=args.window, num_resamples=args.resamples)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
@@ -448,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", default="report")
     a.add_argument("--window", type=int, default=100)
     a.add_argument("--resamples", type=int, default=2000)
-    a.add_argument("--joint-bootstrap", action="store_true",
-                   help="resample (seed, env) cells jointly instead of per-env seeds")
     a.set_defaults(fn=cmd_aggregate)
 
     s = sub.add_parser("selfcheck", help="run the fast oracle battery")

@@ -101,7 +101,7 @@ def build_run_matrix(scores: dict) -> RunMatrix:
 
 
 def build_report(agent_dirs: dict, window: int = 100,
-                 num_resamples: int = 2000, stratified: bool = True) -> dict:
+                 num_resamples: int = 2000) -> dict:
     """Aggregate several agents' run directories into one comparison report.
 
     agent_dirs maps agent label -> run directory. All agents must cover the
@@ -121,7 +121,7 @@ def build_report(agent_dirs: dict, window: int = 100,
         env_sets[label] = tuple(matrix.env_names)
         metrics = aggregate_with_ci(
             matrix, num_resamples, CONFIDENCE,
-            Rng(BOOTSTRAP_SEED).split(f"agent:{label}"), stratified)
+            Rng(BOOTSTRAP_SEED).split(f"agent:{label}"))
         report["agents"][label] = {
             "metrics": asdict(metrics),
             "env_names": matrix.env_names,
@@ -144,6 +144,13 @@ _COLORS = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3")
 def _bar_y(v: float) -> float:
     v = min(1.0, max(0.0, v))
     return _PLOT_Y0 + _PLOT_H * (1.0 - v)
+
+
+def _xml_text(text: str) -> str:
+    # What xml.sax.saxutils.escape does; importing that module loads
+    # urllib.request, http.client and ssl, about 7 MB of RSS in every process
+    # that imports deskrl.cli.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_svg(report: dict) -> str:
@@ -181,7 +188,7 @@ def render_svg(report: dict) -> str:
             parts.append(
                 f'<text x="{x + (bar_w - 6) / 2:.1f}" y="{_PLOT_Y0 + _PLOT_H + 14}" '
                 f'text-anchor="middle" font-size="9" '
-                f'font-family="sans-serif">{label}</text>')
+                f'font-family="sans-serif">{_xml_text(label)}</text>')
             parts.append(
                 f'<text x="{x + (bar_w - 6) / 2:.1f}" y="{y - 3:.1f}" '
                 f'text-anchor="middle" font-size="9" '

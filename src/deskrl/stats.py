@@ -1,27 +1,53 @@
 """Aggregate evaluation metrics over a (seed x environment) score matrix.
 
-Point estimates pool all normalized scores: median, interquartile mean
-(mean of the middle 50%, with fractional weighting of the boundary order
-statistics when the sample size is not divisible by four), arithmetic mean,
-and optimality gap (mean shortfall below 1.0 with scores capped at 1.0).
-Confidence intervals come from a stratified percentile bootstrap that
-resamples seeds with replacement within each environment column; a flag
-switches to joint (seed, env) run resampling.
+Each metric is one reduction over the last axis, declared once in
+`_METRICS`: median, interquartile mean (mean of the middle 50%, with
+fractional weighting of the boundary order statistics when the sample size
+is not divisible by four), arithmetic mean, and optimality gap (mean
+shortfall below 1.0 with scores capped at 1.0). Point estimates reduce the
+pooled scores. Confidence intervals come from a stratified percentile
+bootstrap that resamples seeds with replacement within each environment
+column; every resample is one row of a single draw, reduced by the same
+table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import Rng
 
-METRIC_NAMES = ("median", "iqm", "mean", "optimality_gap")
-
 __all__ = ["RunMatrix", "AggregateMetrics", "aggregate", "aggregate_with_ci",
            "metric_value", "interquartile_mean", "optimality_gap",
            "bootstrap_ci", "final_score", "METRIC_NAMES"]
+
+
+def _iqm(x: np.ndarray) -> np.ndarray:
+    # A quarter of the weight is trimmed from each end; the weight of order
+    # statistic i is the overlap of [i, i+1) with [n/4, n - n/4).
+    x = np.sort(x, axis=-1)
+    n = x.shape[-1]
+    lo = n / 4.0
+    i = np.arange(n)
+    w = np.clip(np.minimum(i + 1.0, n - lo) - np.maximum(i.astype(float), lo), 0.0, 1.0)
+    return (w * x).sum(axis=-1) / w.sum()
+
+
+def _gap(x: np.ndarray) -> np.ndarray:
+    return np.mean(1.0 - np.minimum(x, 1.0), axis=-1)
+
+
+# Metric name -> reduction of the last axis of a float64 array.
+_METRICS = {
+    "median": functools.partial(np.median, axis=-1),
+    "iqm": _iqm,
+    "mean": functools.partial(np.mean, axis=-1),
+    "optimality_gap": _gap,
+}
+METRIC_NAMES = tuple(_METRICS)
 
 
 @dataclass
@@ -52,63 +78,39 @@ class AggregateMetrics:
     ci_high: dict[str, float] | None = None
 
 
-def interquartile_mean(values: np.ndarray) -> float:
-    """Mean of the middle 50% of the sorted sample.
+def metric_value(scores: np.ndarray, metric: str) -> float:
+    """`metric` of all scores pooled."""
+    flat = np.asarray(scores, dtype=np.float64).ravel()
+    if flat.size == 0:
+        raise ValueError("empty score matrix")
+    if metric not in _METRICS:
+        raise KeyError(f"unknown metric {metric!r}; known: {METRIC_NAMES}")
+    return float(_METRICS[metric](flat))
 
-    A quarter of the total weight is trimmed from each end; when n is not
-    divisible by 4 the two boundary order statistics enter with fractional
-    weight (linear interpolation).
-    """
-    x = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    n = x.size
-    if n == 0:
-        raise ValueError("empty sample")
-    lo = n / 4.0
-    hi = n - lo
-    # weight of order statistic i = overlap of [i, i+1) with [lo, hi)
-    i = np.arange(n)
-    w = np.clip(np.minimum(i + 1.0, hi) - np.maximum(i.astype(float), lo), 0.0, 1.0)
-    return float((w * x).sum() / w.sum())
+
+def interquartile_mean(values: np.ndarray) -> float:
+    """Mean of the middle 50% of the pooled sample (fractional boundary weights)."""
+    return metric_value(values, "iqm")
 
 
 def optimality_gap(values: np.ndarray) -> float:
     """Mean of 1 - min(score, 1): shortfall below the normalized optimum."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    return float(np.mean(1.0 - np.minimum(x, 1.0)))
-
-
-def metric_value(scores: np.ndarray, metric: str) -> float:
-    flat = np.asarray(scores, dtype=np.float64).ravel()
-    if flat.size == 0:
-        raise ValueError("empty score matrix")
-    if metric == "median":
-        return float(np.median(flat))
-    if metric == "iqm":
-        return interquartile_mean(flat)
-    if metric == "mean":
-        return float(flat.mean())
-    if metric == "optimality_gap":
-        return optimality_gap(flat)
-    raise KeyError(f"unknown metric {metric!r}; known: {METRIC_NAMES}")
+    return metric_value(values, "optimality_gap")
 
 
 def aggregate(matrix: RunMatrix) -> AggregateMetrics:
-    return AggregateMetrics(
-        median=metric_value(matrix.scores, "median"),
-        iqm=metric_value(matrix.scores, "iqm"),
-        mean=metric_value(matrix.scores, "mean"),
-        optimality_gap=metric_value(matrix.scores, "optimality_gap"),
-    )
+    return AggregateMetrics(**{name: metric_value(matrix.scores, name)
+                               for name in METRIC_NAMES})
 
 
 def bootstrap_ci(matrix: RunMatrix, metric: str, num_resamples: int,
-                 confidence: float, rng: Rng,
-                 stratified: bool = True) -> tuple[float, float]:
-    """Percentile bootstrap interval for an aggregate metric.
+                 confidence: float, rng: Rng) -> tuple[float, float]:
+    """Stratified percentile bootstrap interval for an aggregate metric.
 
-    stratified=True resamples seeds with replacement independently within
-    each environment column; stratified=False resamples whole (seed, env)
-    cells jointly from the pooled sample.
+    Each resample draws seeds with replacement independently within every
+    environment column. All resamples come from one draw, whose indices
+    equal `num_resamples` successive (seeds, envs) draws, and each row is
+    reduced by the metric's entry in `_METRICS`.
     """
     if num_resamples < 100:
         raise ValueError("num_resamples must be >= 100")
@@ -119,27 +121,21 @@ def bootstrap_ci(matrix: RunMatrix, metric: str, num_resamples: int,
         # Degenerate: a single seed cannot be resampled meaningfully.
         v = metric_value(matrix.scores, metric)
         return (v, v)
-    estimates = np.empty(num_resamples)
-    for b in range(num_resamples):
-        if stratified:
-            idx = rng.integers(0, s, size=(s, m))
-            sample = np.take_along_axis(matrix.scores, idx, axis=0)
-        else:
-            flat = matrix.scores.ravel()
-            sample = flat[rng.integers(0, flat.size, size=flat.size)]
-        estimates[b] = metric_value(sample, metric)
+    idx = rng.integers(0, s, size=(num_resamples, s, m))
+    samples = np.take_along_axis(matrix.scores[None], idx, axis=1)
+    estimates = _METRICS[metric](samples.reshape(num_resamples, s * m))
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(estimates, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 
 def aggregate_with_ci(matrix: RunMatrix, num_resamples: int, confidence: float,
-                      rng: Rng, stratified: bool = True) -> AggregateMetrics:
+                      rng: Rng) -> AggregateMetrics:
     out = aggregate(matrix)
     out.ci_low, out.ci_high = {}, {}
     for name in METRIC_NAMES:
         lo, hi = bootstrap_ci(matrix, name, num_resamples, confidence,
-                              rng.split(f"boot:{name}"), stratified)
+                              rng.split(f"boot:{name}"))
         point = getattr(out, name)
         out.ci_low[name] = min(lo, point)
         out.ci_high[name] = max(hi, point)

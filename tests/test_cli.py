@@ -79,11 +79,12 @@ def test_load_config_rejects_inconsistent_overrides(tmp_path):
 
 
 def test_config_hash_is_stable_and_sensitive(tmp_path):
+    # canonical() is what run_training hashes into manifest.json's config_hash.
     c1 = load_run_config(write_config(tmp_path))
     c2 = load_run_config(write_config(tmp_path))
-    assert c1.config_hash() == c2.config_hash()
+    assert c1.canonical() == c2.canonical()
     c3 = load_run_config(write_config(tmp_path, total_steps=512))
-    assert c1.config_hash() != c3.config_hash()
+    assert c1.canonical() != c3.canonical()
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):
@@ -248,6 +249,24 @@ def test_aggregate_rejects_a_window_below_one(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload == {"error": "ValueError",
                        "message": "window must be a positive integer, got 0"}
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_aggregate_rejects_two_runs_with_one_label(tmp_path, capsys, labelled):
+    # x/vsop and y/vsop both default to the label "vsop"; a=... a=... repeat "a".
+    runs = [tmp_path / d / "vsop" for d in ("x", "y")]
+    for run in runs:
+        cell = run / "chase_dot" / "seed0"
+        cell.mkdir(parents=True)
+        (cell / "metrics.csv").write_text("step,split,env,seed,episodic_return,"
+                                          "normalized_return\n64,test,chase_dot,0,1.0,0.5\n")
+    args = [f"a={run}" if labelled else str(run) for run in runs]
+    assert main(["aggregate", *args, "--out", str(tmp_path / "rep")]) == 2
+    label = "a" if labelled else "vsop"
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "ValueError",
+        "message": f"two run dirs have the label {label!r}: {runs[0]} and {runs[1]}"}
     assert not (tmp_path / "rep").exists()
 
 

@@ -84,3 +84,26 @@ def test_conv_hooks_see_every_layer_and_keep_its_bias_gradient(perfbench):
     assert any(s[0] == "tensor.conv_bwd" for s in tracer.spans)
     for layer in net.conv_layers():
         assert layer.bias.grad is not None and np.any(layer.bias.grad != 0.0), layer.name
+
+
+def test_build_report_records_one_bootstrap_span_per_metric_and_agent(perfbench, tmp_path):
+    # stats.bootstrap_s sums these spans; folding the per-metric calls into
+    # one would leave it reading zero.
+    _, _, spans, _ = perfbench
+    from deskrl import cli
+
+    for agent in ("a", "b"):
+        for seed in (0, 1):
+            cell = tmp_path / agent / "chase_dot" / f"seed{seed}"
+            cell.mkdir(parents=True)
+            (cell / "metrics.csv").write_text(
+                "step,split,env,seed,episodic_return,normalized_return\n"
+                f"64,test,chase_dot,{seed},1.0,{0.3 + 0.2 * seed}\n")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cli.build_report({a: str(tmp_path / a) for a in ("a", "b")}, num_resamples=200)
+    finally:
+        tracer.uninstall()
+    assert sum(s[0] == "stats.bootstrap_ci" for s in tracer.spans) == 8
+    assert sum(s[0] == "report.build_report" for s in tracer.spans) == 1

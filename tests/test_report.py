@@ -1,5 +1,6 @@
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -108,3 +109,11 @@ def test_render_svg_layout_and_stability(tmp_path):
         assert f">{metric}</text>" in svg1
     assert svg1.count("<rect") >= 5  # background + one bar per metric group
     assert "<line" in svg1  # axes and CI whiskers
+
+
+def test_render_svg_escapes_agent_labels(tmp_path):
+    write_run(tmp_path / "a", ["chase_dot"], [0, 1], lambda e, s, i: 0.5)
+    report = build_report({"a&b<c": str(tmp_path / "a")}, num_resamples=200)
+    root = ET.fromstring(render_svg(report))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count("a&b<c") == 4  # one label under each metric group

@@ -139,16 +139,40 @@ def test_bootstrap_width_shrinks_with_more_seeds():
     assert (hi_b - lo_b) < (hi_s - lo_s)
 
 
-def test_bootstrap_stratified_vs_joint_modes_differ():
-    # strong per-env offsets: stratified resampling keeps env columns fixed,
-    # so its intervals are much tighter than joint cell resampling
+def stratified_loop_ci(m, metric, num_resamples, confidence, rng):
+    """Reference: one (seeds, envs) draw per resample, each reduced on its own."""
+    s, e = m.scores.shape
+    estimates = np.empty(num_resamples)
+    for b in range(num_resamples):
+        idx = rng.integers(0, s, size=(s, e))
+        estimates[b] = metric_value(np.take_along_axis(m.scores, idx, axis=0), metric)
+    alpha = (1.0 - confidence) / 2.0
+    lo, hi = np.quantile(estimates, [alpha, 1.0 - alpha])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (5, 3), (4, 1), (7, 5), (6, 4)])
+def test_bootstrap_matches_the_per_resample_loop_exactly(shape):
+    r = Rng(sum(shape))
+    for trial in range(3):
+        scores = r.uniform(-0.2, 1.3, size=shape)
+        if trial == 2:
+            scores = np.round(scores, 1)  # ties
+        m = matrix(scores)
+        for name in METRIC_NAMES:
+            got = bootstrap_ci(m, name, 300, 0.95, Rng(trial).split(name))
+            assert got == stratified_loop_ci(m, name, 300, 0.95, Rng(trial).split(name))
+
+
+def test_bootstrap_keeps_env_columns_fixed():
+    # Strong per-env offsets and little spread within an env: resampling seeds
+    # within each column keeps every env's offset in every resample, so the
+    # mean's interval stays between the means of the column minima and maxima.
     base = Rng(7).uniform(0, 0.05, size=(6, 3))
     base[:, 1] += 0.5
     base[:, 2] += 0.9
-    m = matrix(base)
-    lo_s, hi_s = bootstrap_ci(m, "mean", 1000, 0.95, Rng(8), stratified=True)
-    lo_j, hi_j = bootstrap_ci(m, "mean", 1000, 0.95, Rng(8), stratified=False)
-    assert (hi_s - lo_s) < (hi_j - lo_j)
+    lo, hi = bootstrap_ci(matrix(base), "mean", 1000, 0.95, Rng(8))
+    assert base.min(axis=0).mean() <= lo <= hi <= base.max(axis=0).mean()
 
 
 def test_bootstrap_parameter_validation():
