@@ -242,13 +242,14 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
     """
     out_dir = cfg.resolved_output_dir()
     os.makedirs(out_dir, exist_ok=True)
-    canonical = cfg.canonical()
+    # config.yaml holds the RunConfig fields only, so `deskrl train` can run
+    # it again; the resolved hyperparameters are in manifest.json's config.
     with open(os.path.join(out_dir, "config.yaml"), "w") as f:
-        yaml.safe_dump(canonical, f, sort_keys=True)
+        yaml.safe_dump(dataclasses.asdict(cfg), f, sort_keys=True)
     hp = cfg.hyperparams()
     cells = [(env, seed) for env in cfg.envs for seed in cfg.seeds]
     keys = [f"{env}/seed{seed}" for env, seed in cells]
-    _write_manifest(out_dir, canonical, keys)
+    _write_manifest(out_dir, cfg.canonical(), keys)
 
     def work(cell: int | None) -> tuple[int, Exception] | None:
         """Train cells from `cell` on until none is left or one fails;

@@ -78,6 +78,12 @@ def normalized_return(spec: EnvSpec, episodic_return: float) -> float:
     return float(min(1.0, max(0.0, x)))
 
 
+def _moved(pos: tuple[int, int], action: int) -> tuple[int, int]:
+    """`pos` after one move of `action`, clamped to the grid."""
+    dr, dc = ACTION_DELTAS[action]
+    return min(GRID - 1, max(0, pos[0] + dr)), min(GRID - 1, max(0, pos[1] + dc))
+
+
 def _torus_l1(a, b, size: int) -> int:
     d = 0
     for x, y in zip(a, b):
@@ -107,6 +113,11 @@ class GridGame:
         self.t = 0
         self.done = False
         self.episode_return = 0.0
+        # Seeded background jitter gives the train/test visual shift.
+        self.palette = {
+            "bg": 0.05 + 0.18 * self._rng.random(3),
+            "wall": np.array([0.5, 0.5, 0.55]) + 0.08 * (self._rng.random(3) - 0.5),
+        }
         self._generate(self._rng)
 
     # -- per-game hooks ---------------------------------------------------
@@ -119,6 +130,7 @@ class GridGame:
         raise NotImplementedError
 
     def _draw(self, img: np.ndarray) -> None:
+        """Paint everything but the agent, which `_render` draws on top."""
         raise NotImplementedError
 
     def oracle_action(self) -> int:
@@ -159,16 +171,10 @@ class GridGame:
         img = np.empty((GRID, GRID, 3))
         img[:] = self.palette["bg"]
         self._draw(img)
+        img[self.agent] = (1.0, 1.0, 1.0)
         if self.cell > 1:
             img = np.repeat(np.repeat(img, self.cell, axis=0), self.cell, axis=1)
         return img
-
-    def _make_palette(self, rng: Rng) -> dict:
-        # Seeded background jitter gives the train/test visual shift.
-        return {
-            "bg": 0.05 + 0.18 * rng.random(3),
-            "wall": np.array([0.5, 0.5, 0.55]) + 0.08 * (rng.random(3) - 0.5),
-        }
 
     # -- checkpointing ----------------------------------------------------
 
@@ -213,7 +219,6 @@ class ChaseDot(GridGame):
                 cls.success_reward + shaping_span)
 
     def _generate(self, rng: Rng) -> None:
-        self.palette = self._make_palette(rng)
         self.agent = (int(rng.integers(0, GRID)), int(rng.integers(0, GRID)))
         while True:
             self.target = (int(rng.integers(0, GRID)), int(rng.integers(0, GRID)))
@@ -227,9 +232,7 @@ class ChaseDot(GridGame):
 
     def _advance(self, action: int):
         d_prev = self._dist()
-        dr, dc = ACTION_DELTAS[action]
-        self.agent = (min(GRID - 1, max(0, self.agent[0] + dr)),
-                      min(GRID - 1, max(0, self.agent[1] + dc)))
+        self.agent = _moved(self.agent, action)
         caught = self.agent == self.target
         if not caught:
             self.target = ((self.target[0] + self.velocity[0]) % GRID,
@@ -242,7 +245,6 @@ class ChaseDot(GridGame):
 
     def _draw(self, img: np.ndarray) -> None:
         img[self.target] = (1.0, 0.15, 0.1)
-        img[self.agent] = (1.0, 1.0, 1.0)
 
     def _target_at(self, dt: int) -> tuple[int, int]:
         return ((self.target[0] + dt * self.velocity[0]) % GRID,
@@ -281,7 +283,6 @@ class BlinkDoor(GridGame):
                 cls.success_reward + shaping_span)
 
     def _generate(self, rng: Rng) -> None:
-        self.palette = self._make_palette(rng)
         self.start = (int(rng.integers(0, GRID)), int(rng.integers(0, 9)))
         self.agent = self.start
         self.door_row = int(rng.integers(1, GRID - 1))
@@ -296,9 +297,7 @@ class BlinkDoor(GridGame):
 
     def _advance(self, action: int):
         d_prev = self._door_dist(self.agent)
-        dr, dc = ACTION_DELTAS[action]
-        nxt = (min(GRID - 1, max(0, self.agent[0] + dr)),
-               min(GRID - 1, max(0, self.agent[1] + dc)))
+        nxt = _moved(self.agent, action)
         done = False
         if nxt[1] == self.WALL_COL:
             if nxt[0] == self.door_row:
@@ -321,7 +320,6 @@ class BlinkDoor(GridGame):
             img[self.door_row, self.WALL_COL] = (0.1, 1.0, 0.2)
         else:
             img[self.door_row, self.WALL_COL] = (0.55, 0.05, 0.05)
-        img[self.agent] = (1.0, 1.0, 1.0)
 
     def oracle_action(self) -> int:
         r, c = self.agent
@@ -356,7 +354,6 @@ class CorridorDodge(GridGame):
                 cls.success_reward + shaping_span)
 
     def _generate(self, rng: Rng) -> None:
-        self.palette = self._make_palette(rng)
         self.agent = (int(rng.integers(0, GRID)), 0)
         self.hazard_rows = tuple(int(rng.integers(0, GRID)) for _ in self.HAZARD_COLS)
         self.hazard_vels = tuple(int(rng.choice([-2, -1, 1, 2])) for _ in self.HAZARD_COLS)
@@ -366,9 +363,7 @@ class CorridorDodge(GridGame):
 
     def _advance(self, action: int):
         c_prev = self.agent[1]
-        dr, dc = ACTION_DELTAS[action]
-        self.agent = (min(GRID - 1, max(0, self.agent[0] + dr)),
-                      min(GRID - 1, max(0, self.agent[1] + dc)))
+        self.agent = _moved(self.agent, action)
         reward = self.shaping_coeff * (self.agent[1] - c_prev)
         # Hazards move after the agent; collision is checked on the new board.
         t_next = self.t + 1
@@ -382,7 +377,6 @@ class CorridorDodge(GridGame):
     def _draw(self, img: np.ndarray) -> None:
         for i, col in enumerate(self.HAZARD_COLS):
             img[self._hazard_row(i, self.t), col] = (1.0, 0.6, 0.05)
-        img[self.agent] = (1.0, 1.0, 1.0)
 
     def oracle_action(self) -> int:
         r, c = self.agent

@@ -20,7 +20,6 @@ class FrameStack:
     def __init__(self, capacity: int, num_envs: int, obs_shape: tuple):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         self.frames = np.zeros((num_envs, capacity) + tuple(obs_shape))
 
     def reset_all(self, obs: np.ndarray) -> None:
@@ -34,7 +33,7 @@ class FrameStack:
             self.frames[i] = obs[i]
 
     def stacked(self) -> np.ndarray:
-        """Current stacks, shape (E, capacity, H, W, C), oldest first."""
+        """A copy of the current stacks (E, capacity, H, W, C), oldest first."""
         return self.frames.copy()
 
 
@@ -102,7 +101,11 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
 
 
 class Collector:
-    """Steps a vectorized env with a persistent frame stack across rollouts."""
+    """Steps a vectorized env with a persistent frame stack across rollouts.
+
+    `step` is the one place an agent acts on an env: training collection
+    and held-out evaluation both go through it, so both see the same stacks.
+    """
 
     def __init__(self, vec: VecEnv, frames: int):
         self.vec = vec
@@ -110,35 +113,30 @@ class Collector:
         self.stack = FrameStack(frames, vec.num_envs, obs_shape)
         self.stack.reset_all(vec.reset_all())
 
-    def collect(self, select_action, horizon: int) -> tuple[RolloutBuffer, list[float]]:
-        """Gather horizon * num_envs transitions.
+    def step(self, select_action):
+        """Act on the current stacks, step every env once, push the new frames.
 
-        select_action maps stacked frames (E, k, H, W, C) to
-        (actions, logprobs, values) as numpy arrays. Episodes crossing
-        collection boundaries continue seamlessly; returns the buffer and
-        the episodic returns of episodes that completed inside it.
+        select_action maps stacked frames (E, k, H, W, C) to (actions,
+        logprobs, values) as numpy arrays. Returns (stacks acted on, that
+        triple, rewards, dones, returns of the episodes that ended).
+        """
+        stacked = self.stack.stacked()
+        acted = select_action(stacked)
+        obs, rewards, dones, done_returns = self.vec.step(acted[0])
+        self.stack.push(obs, dones)
+        return stacked, acted, rewards, dones, done_returns
+
+    def collect(self, select_action, horizon: int) -> tuple[RolloutBuffer, list[float]]:
+        """Gather horizon * num_envs transitions, one `step` per buffer row.
+
+        Episodes crossing collection boundaries continue seamlessly; returns
+        the buffer and the episodic returns of episodes that completed
+        inside it.
         """
         buf = RolloutBuffer(horizon, self.vec.num_envs, self.stack.frames.shape[1:])
         finished: list[float] = []
         for t in range(horizon):
-            stacked = self.stack.stacked()
-            actions, logprobs, values = select_action(stacked)
-            obs, rewards, dones, done_returns = self.vec.step(actions)
-            buf.obs[t] = stacked
-            buf.actions[t] = actions
-            buf.logprobs[t] = logprobs
-            buf.rewards[t] = rewards
-            buf.dones[t] = dones
-            buf.values[t] = values
+            (buf.obs[t], (buf.actions[t], buf.logprobs[t], buf.values[t]),
+             buf.rewards[t], buf.dones[t], done_returns) = self.step(select_action)
             finished.extend(done_returns)
-            self.stack.push(obs, dones)
         return buf, finished
-
-    # -- checkpointing ----------------------------------------------------
-
-    def get_state(self) -> tuple[dict, np.ndarray]:
-        return self.vec.get_state(), self.stack.frames.copy()
-
-    def set_state(self, vec_state: dict, frames: np.ndarray) -> None:
-        self.vec.set_state(vec_state)
-        self.stack.frames = np.array(frames, dtype=np.float64)

@@ -17,7 +17,7 @@ from .rng import Rng
 from .rollout import compute_gae
 from .stats import interquartile_mean, optimality_gap
 
-__all__ = ["run_selfcheck", "CheckResult", "naive_conv"]
+__all__ = ["run_selfcheck", "CheckResult"]
 
 
 @dataclass
@@ -27,7 +27,7 @@ class CheckResult:
     detail: str
 
 
-def naive_conv(x: np.ndarray, k: np.ndarray, stride, pad) -> np.ndarray:
+def _naive_conv(x: np.ndarray, k: np.ndarray, stride, pad) -> np.ndarray:
     """Reference cross-correlation by explicit loops (any spatial rank)."""
     ndim = x.ndim - 2
     n, _ = x.shape[:2]
@@ -60,7 +60,7 @@ def _check_conv(ndim: int, rng: Rng) -> CheckResult:
         spec = T.ConvSpec(ksh, stride, pad, c, o)
         op = T.conv2d if ndim == 2 else T.conv3d
         got = op(T.Tensor(x), T.Tensor(k), spec).data
-        worst = max(worst, float(np.abs(got - naive_conv(x, k, stride, pad)).max()))
+        worst = max(worst, float(np.abs(got - _naive_conv(x, k, stride, pad)).max()))
     return CheckResult(name, worst < 1e-12, f"max abs err vs naive loop oracle: {worst:.2e}")
 
 

@@ -22,8 +22,10 @@ deterministic eval-mode forwards for ablation.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = ["CellSettings", "TrainConfig", "grid_problems", "train", "evaluate_po
            "METRICS_COLUMNS"]
 
 METRICS_COLUMNS = ("step", "split", "env", "seed", "episodic_return", "normalized_return")
+_CHECKPOINT_NAME = re.compile(r"ckpt_update\d+\.bin")
 _POSITIVE_INT_SETTINGS = ("total_steps", "num_envs", "num_train_levels",
                           "eval_interval", "eval_episodes", "obs_size")
 
@@ -138,25 +141,21 @@ def evaluate_policy(agent: Agent, config: TrainConfig, eval_rng: Rng,
                     num_episodes: int) -> list[float]:
     """Run complete episodes on test levels; returns their episodic returns.
 
-    Uses fresh env/stack state and caller-provided rng streams so evaluation
-    never perturbs training state.
+    Acts through `Collector.step`, as training collection does, on a fresh
+    env and stack with caller-provided rng streams, so evaluation builds its
+    frame stacks the way training does and never perturbs training state.
     """
     vec = VecEnv(config.env, min(num_episodes, config.num_envs), "test",
                  config.num_train_levels, eval_rng.split("envs"),
                  obs_size=config.obs_size)
-    stack = Collector(vec, agent.hp.frames).stack
-    action_rng = eval_rng.split("actions")
-    dropout_rng = eval_rng.split("dropout")
-    thompson = config.eval_mode == "thompson"
+    collector = Collector(vec, agent.hp.frames)
+    select_action = functools.partial(
+        agent.select_action, thompson=config.eval_mode == "thompson",
+        action_rng=eval_rng.split("actions"), dropout_rng=eval_rng.split("dropout"))
     returns: list[float] = []
     # Step until the num_episodes-th episode completes, and no further.
     while len(returns) < num_episodes:
-        actions, _, _ = agent.select_action(
-            stack.stacked(), thompson=thompson,
-            action_rng=action_rng, dropout_rng=dropout_rng)
-        obs, _, dones, finished = vec.step(actions)
-        returns.extend(finished)
-        stack.push(obs, dones)
+        returns.extend(collector.step(select_action)[-1])
     return returns[:num_episodes]
 
 
@@ -201,7 +200,9 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
 
     Artifacts in out_dir: metrics.csv, updates.json, optional checkpoints
     (ckpt_update<k>.bin). `resume_from` restores a checkpoint written by
-    this function and continues as if uninterrupted.
+    this function and continues as if uninterrupted; a fresh run first
+    removes the checkpoints an earlier run left in out_dir, whose csv
+    offsets point into the metrics.csv it overwrites.
     """
     horizon = config.resolved_horizon(hp)
     os.makedirs(out_dir, exist_ok=True)
@@ -227,7 +228,8 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
                              {**agent.state_arrays(), "frame_stack": collector.stack.frames})
         state = meta["trainer_state"]
         agent.load_state(arrays, state["agent_rngs"])
-        collector.set_state(state["vec"], arrays["frame_stack"])
+        vec.set_state(state["vec"])
+        collector.stack.frames = arrays["frame_stack"]
         eval_master.set_state(state["eval_rng"])
         steps_done = state["steps_done"]
         update_idx = state["update_idx"]
@@ -237,6 +239,8 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
             f.truncate(state["csv_offset"])
         metrics = _MetricsWriter(csv_path, append=True)
     else:
+        for name in filter(_CHECKPOINT_NAME.fullmatch, os.listdir(out_dir)):
+            os.remove(os.path.join(out_dir, name))
         metrics = _MetricsWriter(csv_path)
 
     def run_eval() -> None:
@@ -250,7 +254,6 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
                         r, normalized_return(spec, r))
 
     def save_ckpt() -> None:
-        vec_state, frame_stack = collector.get_state()
         state = {
             "steps_done": steps_done,
             "update_idx": update_idx,
@@ -258,15 +261,13 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
             "update_log": update_log,
             "agent_rngs": agent.rng_states(),
             "eval_rng": eval_master.get_state(),
-            "vec": vec_state,
+            "vec": vec.get_state(),
             "csv_offset": metrics.offset(),
         }
-        arrays = agent.state_arrays()
-        arrays["frame_stack"] = frame_stack
         write_container(
             os.path.join(out_dir, f"ckpt_update{update_idx}.bin"),
             {"trainer_state": state, "hp": asdict(hp), "config": asdict(config)},
-            arrays)
+            {**agent.state_arrays(), "frame_stack": collector.stack.frames})
 
     # Closed however the loop ends, so a failed cell's rows reach the disk
     # even while its exception is still held.
@@ -296,5 +297,5 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
         "env": config.env, "seed": config.seed, "steps": steps_done,
         "updates": update_idx,
         "files": ["metrics.csv", "updates.json"] + sorted(
-            p for p in os.listdir(out_dir) if p.startswith("ckpt_")),
+            filter(_CHECKPOINT_NAME.fullmatch, os.listdir(out_dir))),
     }

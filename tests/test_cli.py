@@ -130,6 +130,17 @@ def test_train_then_aggregate_then_plot(tmp_path, capsys):
     assert (rep / "report.svg").read_text() == svg_before
 
 
+def test_a_runs_config_yaml_trains_the_same_cell_again(tmp_path):
+    # config.yaml used to hold the resolved hyperparams as well, a field
+    # load_run_config rejects, so `deskrl train <run>/config.yaml` exited 2.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["train", write_config(tmp_path, seeds=[0], output_dir=str(first))]) == 0
+    assert main(["train", str(first / "config.yaml"), "--set", f"output_dir={second}"]) == 0
+    for name in ("metrics.csv", "updates.json"):
+        assert (first / "chase_dot" / "seed0" / name).read_bytes() == \
+            (second / "chase_dot" / "seed0" / name).read_bytes()
+
+
 def test_train_preset_and_set_flags_override_config(tmp_path):
     out = tmp_path / "run2"
     cfg_path = write_config(tmp_path)

@@ -5,6 +5,7 @@
 so a rename would otherwise fail only a benchmark run, not the test suite.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -107,3 +108,27 @@ def test_build_report_records_one_bootstrap_span_per_metric_and_agent(perfbench,
         tracer.uninstall()
     assert sum(s[0] == "stats.bootstrap_ci" for s in tracer.spans) == 8
     assert sum(s[0] == "report.build_report" for s in tracer.spans) == 1
+
+
+def test_every_env_step_is_inside_collection_or_evaluation(perfbench, tmp_path):
+    # rollout.collect_self_s and trainer.eval_env_steps read envs.step spans
+    # by their ancestors; a step taken anywhere else would fall out of both.
+    _, _, spans, _ = perfbench
+    from deskrl import trainer
+    from deskrl.agents import preset
+
+    cfg = trainer.TrainConfig(env="chase_dot", seed=0, total_steps=64, num_envs=8,
+                              num_train_levels=10, eval_interval=32, eval_episodes=2)
+    hp = dataclasses.replace(preset("ppo"), batch_size=32)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        trainer.train(cfg, hp, tmp_path)
+    finally:
+        tracer.uninstall()
+    ix = spans.SpanIndex(tracer.spans)
+    steps = ix.named("envs.step")
+    collected = [i for i in steps if ix.has_ancestor(i, "rollout.collect")]
+    evaluated = [i for i in steps if ix.has_ancestor(i, "trainer.evaluate_policy")]
+    assert collected and evaluated
+    assert sorted(collected + evaluated) == steps

@@ -6,10 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
-from deskrl import agents
+from deskrl import agents, tensor
 from deskrl.agents import Agent, preset
 from deskrl.envs import VecEnv
 from deskrl.rng import Rng
+from deskrl.rollout import Collector
 from deskrl.serialize import read_container, write_container
 from deskrl.trainer import METRICS_COLUMNS, TrainConfig, evaluate_policy, train
 
@@ -112,6 +113,20 @@ def test_resume_from_checkpoint_is_bit_identical(tmp_path):
         (part / "ckpt_update2.bin").read_bytes()
 
 
+def test_a_fresh_run_removes_the_checkpoints_of_an_earlier_one(tmp_path):
+    # They used to stay and be listed in the summary's files, though their
+    # csv offsets point into a metrics.csv the fresh run has overwritten.
+    hp = dataclasses.replace(SMALL_PPO, batch_size=32)
+    train(small_config(total_steps=96, eval_interval=10**9, checkpoint_interval=1), hp,
+          tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("ckpt_*")) == \
+        [f"ckpt_update{k}.bin" for k in (1, 2, 3)]
+    summary = train(small_config(total_steps=64, eval_interval=10**9), hp, tmp_path)
+    assert summary["updates"] == 2
+    assert summary["files"] == ["metrics.csv", "updates.json"]
+    assert not list(tmp_path.glob("ckpt_*"))
+
+
 def test_resume_rejects_a_checkpoint_from_another_config(tmp_path):
     run = tmp_path / "run"
     cfg = small_config(total_steps=256, eval_interval=10**9, checkpoint_interval=1)
@@ -194,6 +209,54 @@ def test_evaluate_policy_stops_at_the_last_episode(monkeypatch):
     cfg = small_config(env="corridor_dodge", num_envs=1)
     assert len(evaluate_policy(agent, cfg, Rng(5).split("eval"), num_episodes=1)) == 1
     assert dones[-1] and not any(dones[:-1])
+
+
+def reference_evaluate_policy(agent, config, eval_rng, num_episodes):
+    """Evaluation written out by hand: act on the stacks, step the envs and
+    push their frames until num_episodes episodes have completed."""
+    vec = VecEnv(config.env, min(num_episodes, config.num_envs), "test",
+                 config.num_train_levels, eval_rng.split("envs"),
+                 obs_size=config.obs_size)
+    stack = Collector(vec, agent.hp.frames).stack
+    action_rng = eval_rng.split("actions")
+    dropout_rng = eval_rng.split("dropout")
+    thompson = config.eval_mode == "thompson"
+    returns = []
+    while len(returns) < num_episodes:
+        actions, _, _ = agent.select_action(
+            stack.stacked(), thompson=thompson,
+            action_rng=action_rng, dropout_rng=dropout_rng)
+        obs, _, dones, finished = vec.step(actions)
+        returns.extend(finished)
+        stack.push(obs, dones)
+    return returns[:num_episodes]
+
+
+@pytest.mark.parametrize("eval_mode", ["thompson", "mean"])
+@pytest.mark.parametrize("hp", [SMALL_PPO, dataclasses.replace(SMALL_HP, frames=4)],
+                         ids=["ppo-1frame", "vsop-4frames"])
+def test_evaluate_policy_matches_the_loop_written_out(hp, eval_mode):
+    agent = Agent(hp, obs_size=16, num_actions=5, rng=Rng(0))
+    cfg = small_config(env="blink_door", num_envs=3, eval_mode=eval_mode)
+    got = evaluate_policy(agent, cfg, Rng(5).split("eval"), num_episodes=5)
+    assert len(got) == 5
+    assert got == reference_evaluate_policy(agent, cfg, Rng(5).split("eval"), 5)
+
+
+def test_vsop_evaluation_samples_dropout_only_in_thompson_mode(monkeypatch):
+    calls = []
+    dropout = tensor.dropout
+
+    def counting(*args):
+        calls.append(1)
+        return dropout(*args)
+
+    monkeypatch.setattr(tensor, "dropout", counting)
+    agent = Agent(SMALL_HP, obs_size=16, num_actions=5, rng=Rng(0))
+    evaluate_policy(agent, small_config(eval_mode="mean"), Rng(5).split("eval"), 2)
+    assert not calls
+    evaluate_policy(agent, small_config(eval_mode="thompson"), Rng(5).split("eval"), 2)
+    assert calls
 
 
 def test_failed_cell_leaves_its_rows_on_disk(tmp_path, monkeypatch):
