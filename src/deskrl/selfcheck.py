@@ -117,6 +117,25 @@ def _check_gradients(rng: Rng) -> list[CheckResult]:
     spec3 = T.ConvSpec((3, 3, 3), (2, 1, 1), (1, 0, 1), 2, 3)
     out.append(_gradcheck("grad_conv3d",
                           lambda: T.tsum(T.square(T.conv3d(x3, k3, spec3))), [x3, k3]))
+    # Distinct values a step of 0.1 apart: no window has a tie, and the
+    # difference step cannot change which corner is the max.
+    xp = T.Tensor(0.1 * rng.permutation(2 * 3 * 4 * 6).reshape(2, 3, 4, 6),
+                  requires_grad=True)
+    wp = T.Tensor(rng.normal(size=(2, 3, 2, 3)))
+    out.append(_gradcheck("grad_maxpool2x2",
+                          lambda: T.tsum(T.mul(T.maxpool2x2(xp), wp)), [xp]))
+    # A residual block as the 3D network has it; a fresh stream of a fixed
+    # seed gives every evaluation the same dropout mask.
+    xr = T.Tensor(rng.normal(size=(2, 2, 3, 4, 4)), requires_grad=True)
+    kr = [T.Tensor(rng.normal(size=(2, 2, 3, 3, 3)), requires_grad=True) for _ in range(2)]
+    br = T.Tensor(rng.normal(size=2), requires_grad=True)
+    specr = T.ConvSpec((3, 3, 3), (1, 1, 1), (1, 1, 1), 2, 2)
+    wr = T.Tensor(rng.normal(size=xr.shape))  # nonzero upstream gradient where units drop
+
+    def residual_block():
+        h = T.conv3d(T.relu(T.conv3d(xr, kr[0], specr, br)), kr[1], specr)
+        return T.tsum(T.mul(T.dropout(T.add(xr, h), 0.25, Rng(7)), wr))
+    out.append(_gradcheck("grad_residual_block", residual_block, [xr, *kr, br]))
     lg = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     acts = np.array([0, 2, 4, 1])
     out.append(_gradcheck("grad_categorical",

@@ -15,11 +15,11 @@ in place to its fresh output, so the tape holds no pre-bias output; the
 bias gradient is the upstream gradient summed over batch and space.
 
 Max pooling takes the elementwise max of the four strided corner views of
-the 2x2 windows and stores nothing but its input: backward sends each
-window's gradient to the first corner, in the order (0,0), (0,1), (1,0),
-(1,1), whose value equals the max. That is `argmax`'s tie rule; ties are
-common, since a flat background gives equal conv outputs. Dropout keeps
-its mask as bools.
+the 2x2 windows. Backward sends each window's gradient to the first
+corner, in the order (0,0), (0,1), (1,0), (1,1), whose value equals the
+max. That is `argmax`'s tie rule; ties are common, since a flat background
+gives equal conv outputs. A taped pool keeps that corner's index per
+window as uint8, not its input or output. Dropout keeps its mask as bools.
 
 Every convolution pass runs over chunks of samples whose columns fit
 `COLUMN_BUDGET`, so the live column memory is max(budget, one sample)
@@ -34,11 +34,23 @@ only by the GEMMs of the chunk that gathered them, and nothing on the tape
 holds a view of the buffer; the kernel gradient gathers its columns again
 rather than keeping them.
 
+The tape keeps only what backward reads. A taped op output's graph node
+(`_Node`) holds its gradient, parent nodes, closure and shape, but not its
+array; a leaf is its own node. Each closure captures exactly the arrays
+its gradient formula reads: a conv its input and kernel, dense its input
+and weight, relu/clip/minimum/maximum/dropout bool masks, the pool its
+corner index, add/sub/reshape/mean_axis/tsum/tmean shapes only. No
+closure holds a tensor, and a parent that needs no gradient is kept as
+None, so an activation that no backward reads dies with its last name,
+by refcount. The small outputs of exp and softmax_entropy are
+kept as arrays, since their gradients read them.
+
 `backward` frees the tape as it walks it: once a node has passed its
 gradient on, its gradient, parents and closure are dropped, so interior
-gradients and activations die as soon as they are used. Walking a graph a
-second time raises. Under `no_grad()` operations record no tape at all,
-for forwards whose outputs are only read (acting, evaluation).
+gradients and saved arrays die as soon as they are used. Walking a graph
+a second time raises. Under `no_grad()` no op builds a node or closure,
+and the pool computes only the max, for forwards whose outputs are only
+read (acting, evaluation).
 
 Everything is float64. Leaf gradients accumulate additively across
 backward calls, matching the usual autograd convention.
@@ -74,7 +86,12 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array, optionally tracked for reverse-mode autodiff."""
+    """A dense float64 array, optionally tracked for reverse-mode autodiff.
+
+    A leaf (or any tensor no op taped) is its own graph node: `grad`,
+    `_parents` and `_backward_fn` are its own slots. A taped op output is a
+    `_Output`, whose node is a separate `_Node` that the tape keeps.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -84,6 +101,11 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
+
+    @property
+    def _node(self):
+        """This tensor's graph node: itself, unless a `_Output` says otherwise."""
+        return self
 
     @property
     def shape(self) -> tuple:
@@ -109,6 +131,39 @@ class Tensor:
         return mul(self, Tensor(np.asarray(-1.0)))
 
 
+class _Node:
+    """What the tape keeps of a taped op output: everything but its array."""
+
+    __slots__ = ("grad", "_parents", "_backward_fn", "shape")
+
+    def __init__(self, parents: tuple, backward_fn, shape: tuple):
+        self.grad: Optional[np.ndarray] = None
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.shape = shape
+
+
+def _node_field(name: str) -> property:
+    return property(lambda t: getattr(t._node, name),
+                    lambda t, value: setattr(t._node, name, value))
+
+
+class _Output(Tensor):
+    """A taped op output. Its tape fields read and write its `_Node`; the
+    tape holds only the node, so dropping the tensor frees its array unless
+    a consumer's closure captured that array."""
+
+    __slots__ = ("_node",)
+    grad = _node_field("grad")
+    _parents = _node_field("_parents")
+    _backward_fn = _node_field("_backward_fn")
+
+    def __init__(self, data: np.ndarray, parents: tuple, backward_fn):
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.requires_grad = True
+        self._node = _Node(parents, backward_fn, self.data.shape)
+
+
 _grad_enabled = True
 
 
@@ -123,21 +178,22 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _taped(*parents: Tensor) -> bool:
+    """Whether an op on `parents` records a tape entry."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-    return out
+    """A taped output. backward_fn(g) returns one gradient per parent; a
+    parent that needs none is kept as None, so the tape does not hold it."""
+    return _Output(data, tuple(p._node if p.requires_grad else None for p in parents),
+                   backward_fn)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def _accumulate(node, g: np.ndarray) -> None:
+    if node.grad is None:
+        node.grad = np.zeros(node.shape)
+    node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -167,10 +223,11 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
+    root = loss._node
     # Iterative topological sort; graphs can be deep for long loss chains.
-    topo: list[Tensor] = []
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -183,51 +240,60 @@ def backward(loss: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p is not None and id(p) not in visited:
                 stack.append((p, False))
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(root, np.ones(root.shape))
     while topo:
         node = topo.pop()  # popped, so the list stops holding walked nodes
         if node._backward_fn is None:
             continue  # a leaf keeps its accumulated gradient
         if node.grad is not None:
-            node._backward_fn(node.grad)
+            for p, g in zip(node._parents, node._backward_fn(node.grad)):
+                if p is not None:
+                    _accumulate(p, g)
         node.grad, node._parents, node._backward_fn = None, (), _CONSUMED
 
 
 # ---------------------------------------------------------------------------
 # elementwise / linear algebra
 # ---------------------------------------------------------------------------
+#
+# Each op computes its output, returns a plain Tensor when it records no tape,
+# and otherwise hands `_make` a closure over exactly what its gradient reads.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-    return _make(a.data + b.data, (a, b), bw)
+    out = a.data + b.data
+    if not _taped(a, b):
+        return Tensor(out)
+    sa, sb = a.shape, b.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-    return _make(a.data - b.data, (a, b), bw)
+    out = a.data - b.data
+    if not _taped(a, b):
+        return Tensor(out)
+    sa, sb = a.shape, b.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-    return _make(a.data * b.data, (a, b), bw)
+    out = a.data * b.data
+    if not _taped(a, b):
+        return Tensor(out)
+    ad, bd = a.data, b.data
+    return _make(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
+                                         _unbroadcast(g * ad, bd.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-
-    def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-    return _make(a.data @ b.data, (a, b), bw)
+    out = a.data @ b.data
+    if not _taped(a, b):
+        return Tensor(out)
+    ad, bd = a.data, b.data
+    return _make(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -236,89 +302,94 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"dense shapes incompatible: {x.shape} @ {weight.shape}")
     if bias.shape != (weight.shape[1],):
         raise ShapeError(f"dense bias shape {bias.shape} != ({weight.shape[1]},)")
-
-    def bw(g):
-        _accumulate(x, g @ weight.data.T)
-        _accumulate(weight, x.data.T @ g)
-        _accumulate(bias, g.sum(axis=0))
-    return _make(x.data @ weight.data + bias.data, (x, weight, bias), bw)
+    out = x.data @ weight.data + bias.data
+    if not _taped(x, weight, bias):
+        return Tensor(out)
+    xd, wd = x.data, weight.data
+    return _make(out, (x, weight, bias), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 def relu(x: Tensor) -> Tensor:
     # Subgradient at 0 is 0 by convention.
     mask = x.data > 0.0
-
-    def bw(g):
-        _accumulate(x, g * mask)
-    return _make(np.where(mask, x.data, 0.0), (x,), bw)
+    out = np.where(mask, x.data, 0.0)
+    if not _taped(x):
+        return Tensor(out)
+    return _make(out, (x,), lambda g: (g * mask,))
 
 
 def exp(x: Tensor) -> Tensor:
-    out_data = np.exp(x.data)
-
-    def bw(g):
-        _accumulate(x, g * out_data)
-    return _make(out_data, (x,), bw)
+    out = np.exp(x.data)
+    if not _taped(x):
+        return Tensor(out)
+    return _make(out, (x,), lambda g: (g * out,))  # the output array, not the tensor
 
 
 def square(x: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(x, g * 2.0 * x.data)
-    return _make(x.data * x.data, (x,), bw)
+    out = x.data * x.data
+    if not _taped(x):
+        return Tensor(out)
+    xd = x.data
+    return _make(out, (x,), lambda g: (g * 2.0 * xd,))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
+    out = np.clip(x.data, lo, hi)
+    if not _taped(x):
+        return Tensor(out)
     inside = (x.data > lo) & (x.data < hi)
+    return _make(out, (x,), lambda g: (g * inside,))
 
-    def bw(g):
-        _accumulate(x, g * inside)
-    return _make(np.clip(x.data, lo, hi), (x,), bw)
+
+def _select(a: Tensor, b: Tensor, out: np.ndarray, take_a: np.ndarray) -> Tensor:
+    """An elementwise choice between a and b; the gradient goes to a where
+    the bool mask `take_a` holds, else to b."""
+    if not _taped(a, b):
+        return Tensor(out)
+    sa, sb = a.shape, b.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g * take_a, sa),
+                                         _unbroadcast(g * ~take_a, sb)))
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
-    take_a = a.data <= b.data  # ties route to the first operand
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * take_a, a.shape))
-        _accumulate(b, _unbroadcast(g * ~take_a, b.shape))
-    return _make(np.minimum(a.data, b.data), (a, b), bw)
+    # Ties route to the first operand.
+    return _select(a, b, np.minimum(a.data, b.data), a.data <= b.data)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    take_a = a.data >= b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * take_a, a.shape))
-        _accumulate(b, _unbroadcast(g * ~take_a, b.shape))
-    return _make(np.maximum(a.data, b.data), (a, b), bw)
+    return _select(a, b, np.maximum(a.data, b.data), a.data >= b.data)
 
 
 def tsum(x: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(x, np.full_like(x.data, float(np.sum(g))))
-    return _make(np.asarray(x.data.sum()), (x,), bw)
+    out = np.asarray(x.data.sum())
+    if not _taped(x):
+        return Tensor(out)
+    shape = x.shape
+    return _make(out, (x,), lambda g: (np.full(shape, float(np.sum(g))),))
 
 
 def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bw(g):
-        _accumulate(x, np.full_like(x.data, float(np.sum(g)) / n))
-    return _make(np.asarray(x.data.mean()), (x,), bw)
+    out = np.asarray(x.data.mean())
+    if not _taped(x):
+        return Tensor(out)
+    shape, n = x.shape, x.size
+    return _make(out, (x,), lambda g: (np.full(shape, float(np.sum(g)) / n),))
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
+    out = x.data.mean(axis=axis)
+    if not _taped(x):
+        return Tensor(out)
     n = x.shape[axis]
-
-    def bw(g):
-        _accumulate(x, np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-    return _make(x.data.mean(axis=axis), (x,), bw)
+    return _make(out, (x,), lambda g: (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    def bw(g):
-        _accumulate(x, g.reshape(x.shape))
-    return _make(x.data.reshape(shape), (x,), bw)
+    out = x.data.reshape(shape)
+    if not _taped(x):
+        return Tensor(out)
+    in_shape = x.shape
+    return _make(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -475,33 +546,38 @@ def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int,
     out_data = _correlate(x.data, pad, kernel.data, spec.stride, out_shape)
     if bias is not None:
         out_data += bias.data.reshape((o,) + ones)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    if not _taped(*parents):
+        return Tensor(out_data)
+    xd, kd, has_bias = x.data, kernel.data, bias is not None
+    need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def bw(g):
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0,) + tuple(range(2, ndim + 2))))
-        if kernel.requires_grad:
+        dx = dw = db = None
+        if has_bias:
+            db = g.sum(axis=(0,) + tuple(range(2, ndim + 2)))
+        if need_k:
             # dW for first-axis offset i: g against the column slice for i,
             # summed over the forward's chunks. The columns are gathered
             # again; keeping them would dominate memory.
-            dw = None
             for sl in _chunks(n, c_in, kshape, spec.stride, out_shape):
                 g_mat = g[sl].transpose((1, 2, 0) + tuple(range(3, g.ndim))).reshape(o, -1)
-                slabs = _columns(_embed(x.data[sl], *pad), kshape, spec.stride, out_shape)
+                slabs = _columns(_embed(xd[sl], *pad), kshape, spec.stride, out_shape)
                 # slab @ g.T runs faster in BLAS than g @ slab.T for these shapes.
                 part = np.stack([slab @ g_mat.T for slab in slabs])  # (k0, C*k1*..., O)
                 dw = part if dw is None else dw + part
             dw = dw.reshape((kshape[0], c_in) + kshape[1:] + (o,))
-            _accumulate(kernel, dw.transpose((ndim + 1, 1, 0) + tuple(range(2, ndim + 1))))
-        if x.requires_grad:
+            dw = dw.transpose((ndim + 1, 1, 0) + tuple(range(2, ndim + 1)))
+        if need_x:
             # dX is the stride-1 correlation of g, zero-dilated by the stride
             # and padded by k-1-p (negative crops), with the kernel flipped
             # and its channel axes swapped (Dumoulin & Visin, 2016).
             dilate = (tuple(e + k - 1 for e, k in zip(in_shape, kshape)),
                       tuple(k - 1 - p for k, p in zip(kshape, spec.padding)), spec.stride)
-            flipped = kernel.data[(slice(None), slice(None)) + (slice(None, None, -1),) * ndim]
-            _accumulate(x, _correlate(g, dilate, flipped.swapaxes(0, 1), ones, in_shape))
+            flipped = kd[(slice(None), slice(None)) + (slice(None, None, -1),) * ndim]
+            dx = _correlate(g, dilate, flipped.swapaxes(0, 1), ones, in_shape)
+        return dx, dw, db
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(out_data, parents, bw)
 
 
@@ -533,6 +609,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
     The output is the elementwise max of the four strided corner views.
     Each window's gradient goes to its first corner, in the order (0,0),
     (0,1), (1,0), (1,1), whose value equals the max: `argmax`'s tie rule.
+    A taped pool keeps only that corner's index, as uint8.
     """
     h, w = x.shape[-2], x.shape[-1]
     if h % 2 or w % 2:
@@ -541,15 +618,18 @@ def maxpool2x2(x: Tensor) -> Tensor:
     out_data = np.maximum(views[0], views[1])
     np.maximum(out_data, views[2], out=out_data)
     np.maximum(out_data, views[3], out=out_data)
+    if not _taped(x):
+        return Tensor(out_data)
+    first = np.full(out_data.shape, 3, dtype=np.uint8)
+    for k in (2, 1, 0):  # later writes win, so the first maximal corner does
+        np.copyto(first, k, where=views[k] == out_data)
+    in_shape = x.shape
 
     def bw(g):
-        gx = np.zeros(x.shape)
-        routed = np.zeros(g.shape, dtype=bool)
-        for corner, view in zip(_CORNERS, views):
-            hit = (view == out_data) & ~routed
-            np.copyto(gx[corner], g, where=hit)
-            routed |= hit
-        _accumulate(x, gx)
+        gx = np.zeros(in_shape)
+        for k, corner in enumerate(_CORNERS):
+            np.copyto(gx[corner], g, where=first == k)
+        return (gx,)
 
     return _make(out_data, (x,), bw)
 
@@ -566,10 +646,10 @@ def dropout(x: Tensor, rate: float, rng: Optional[Rng]) -> Tensor:
         raise ValueError("dropout requires an rng")
     scale = 1.0 / (1.0 - rate)
     keep = rng.random(x.shape) >= rate  # bool: an eighth of a float mask on the tape
-
-    def bw(g):
-        _accumulate(x, g * keep * scale)
-    return _make(x.data * keep * scale, (x,), bw)
+    out = x.data * keep * scale
+    if not _taped(x):
+        return Tensor(out)
+    return _make(out, (x,), lambda g: (g * keep * scale,))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -589,13 +669,16 @@ def categorical_logprob(logits: Tensor, actions: np.ndarray) -> Tensor:
     n = logits.shape[0]
     actions = np.asarray(actions, dtype=np.int64)
     ls = _log_softmax(logits.data)
+    out = ls[np.arange(n), actions]
+    if not _taped(logits):
+        return Tensor(out)
     probs = np.exp(ls)
 
     def bw(g):
         gl = -probs * g[:, None]
         gl[np.arange(n), actions] += g
-        _accumulate(logits, gl)
-    return _make(ls[np.arange(n), actions], (logits,), bw)
+        return (gl,)
+    return _make(out, (logits,), bw)
 
 
 def softmax_entropy(logits: Tensor) -> Tensor:
@@ -605,11 +688,10 @@ def softmax_entropy(logits: Tensor) -> Tensor:
     ls = _log_softmax(logits.data)
     probs = np.exp(ls)
     ent = -(probs * ls).sum(axis=1)
-
-    def bw(g):
-        # dH/dz_j = -p_j (log p_j + H)
-        _accumulate(logits, -probs * (ls + ent[:, None]) * g[:, None])
-    return _make(ent, (logits,), bw)
+    if not _taped(logits):
+        return Tensor(ent)
+    # dH/dz_j = -p_j (log p_j + H)
+    return _make(ent, (logits,), lambda g: (-probs * (ls + ent[:, None]) * g[:, None],))
 
 
 def sample_categorical(logits: Tensor, rng: Rng):

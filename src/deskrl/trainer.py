@@ -40,7 +40,7 @@ __all__ = ["CellSettings", "TrainConfig", "grid_problems", "train", "evaluate_po
            "METRICS_COLUMNS"]
 
 METRICS_COLUMNS = ("step", "split", "env", "seed", "episodic_return", "normalized_return")
-_CHECKPOINT_NAME = re.compile(r"ckpt_update\d+\.bin")
+_CHECKPOINT_NAME = re.compile(r"ckpt_update(\d+)\.bin")
 _POSITIVE_INT_SETTINGS = ("total_steps", "num_envs", "num_train_levels",
                           "eval_interval", "eval_episodes", "obs_size")
 
@@ -200,9 +200,10 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
 
     Artifacts in out_dir: metrics.csv, updates.json, optional checkpoints
     (ckpt_update<k>.bin). `resume_from` restores a checkpoint written by
-    this function and continues as if uninterrupted; a fresh run first
-    removes the checkpoints an earlier run left in out_dir, whose csv
-    offsets point into the metrics.csv it overwrites.
+    this function and continues as if uninterrupted. A run first removes
+    the checkpoints an earlier run left in out_dir past its own start (all
+    of them, for a fresh run), whose csv offsets point into the metrics.csv
+    it rewrites.
     """
     horizon = config.resolved_horizon(hp)
     os.makedirs(out_dir, exist_ok=True)
@@ -239,9 +240,13 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
             f.truncate(state["csv_offset"])
         metrics = _MetricsWriter(csv_path, append=True)
     else:
-        for name in filter(_CHECKPOINT_NAME.fullmatch, os.listdir(out_dir)):
-            os.remove(os.path.join(out_dir, name))
         metrics = _MetricsWriter(csv_path)
+    # Checkpoints past this run's start belong to an earlier run: their csv
+    # offsets point into the metrics.csv this run rewrites.
+    for name in os.listdir(out_dir):
+        found = _CHECKPOINT_NAME.fullmatch(name)
+        if found and (resume_from is None or int(found[1]) > update_idx):
+            os.remove(os.path.join(out_dir, name))
 
     def run_eval() -> None:
         # A fresh labelled stream per eval round: deterministic, and

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,40 @@ def test_backward_frees_the_tape_and_a_second_walk_raises():
     with pytest.raises(RuntimeError, match="consumed"):
         T.tsum(T.mul(h, x)).backward()  # a new graph through a consumed node
     np.testing.assert_allclose(x.grad, [2.0, -4.0])  # no leaf moved
+
+
+def test_the_tape_keeps_no_activation_its_backward_does_not_read():
+    # relu, add, dropout and the pool keep masks, shapes or an index, so the
+    # conv outputs, the sum and the pool input die with their names; gc is
+    # off, so refcounting alone must free them.
+    spec = T.ConvSpec((3, 3, 3), (1, 1, 1), (1, 1, 1), 2, 2)
+    rng = Rng(5)
+    x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)))
+    kernels = [rng.normal(size=(2, 2, 3, 3, 3)) for _ in range(2)]
+
+    def build():
+        k0, k1 = (Tensor(k, requires_grad=True) for k in kernels)
+        c0 = T.conv3d(x, k0, spec)
+        c1 = T.conv3d(T.relu(c0), k1, spec)
+        s = T.add(x, c1)
+        d = T.dropout(s, 0.25, Rng(6))
+        return T.tsum(T.square(T.maxpool2x2(d))), (k0, k1), [c0, c1, s, d]
+
+    held_loss, held_kernels, held = build()
+    held_loss.backward()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loss, free_kernels, dropped = build()
+        refs = [weakref.ref(t.data) for t in dropped]
+        del dropped
+        assert [r() is None for r in refs] == [True] * 4
+        loss.backward()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    for k, ref in zip(free_kernels, held_kernels):
+        assert k.grad.tobytes() == ref.grad.tobytes()
 
 
 def test_no_grad_records_no_tape_and_restores_on_raise():

@@ -127,6 +127,20 @@ def test_a_fresh_run_removes_the_checkpoints_of_an_earlier_one(tmp_path):
     assert not list(tmp_path.glob("ckpt_*"))
 
 
+def test_a_resume_removes_the_checkpoints_past_its_start(tmp_path):
+    # ckpt_update3.bin used to stay and be listed, though the resumed run
+    # ends at update 2 and its csv offset points past the rewritten csv.
+    hp = dataclasses.replace(SMALL_PPO, batch_size=32)
+    cfg = small_config(total_steps=96, eval_interval=10**9, checkpoint_interval=1)
+    train(cfg, hp, tmp_path)
+    summary = train(dataclasses.replace(cfg, total_steps=64), hp, tmp_path,
+                    resume_from=tmp_path / "ckpt_update1.bin")
+    assert summary["updates"] == 2
+    names = [f"ckpt_update{k}.bin" for k in (1, 2)]
+    assert summary["files"] == ["metrics.csv", "updates.json"] + names
+    assert sorted(p.name for p in tmp_path.glob("ckpt_*")) == names
+
+
 def test_resume_rejects_a_checkpoint_from_another_config(tmp_path):
     run = tmp_path / "run"
     cfg = small_config(total_steps=256, eval_interval=10**9, checkpoint_interval=1)
