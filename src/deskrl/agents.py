@@ -11,7 +11,7 @@ subnetwork (Thompson-sampling exploration).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -108,36 +108,28 @@ class AgentHyperparams:
         return self.batch_size // self.num_minibatches
 
 
-def _ppo_base(**over) -> AgentHyperparams:
-    base = dict(
-        algo="ppo", frames=1, width_multiplier=1, conv_kind="conv2d",
-        learning_rate=5e-4, batch_size=2048, epochs_per_update=3,
-        gamma=0.999, gae_lambda=0.95, normalize_advantages=True,
-        clip_value_loss=True, clip_coeff=0.2, entropy_coeff=1e-2,
-        value_loss_coeff=0.5, max_grad_norm=0.5, dropout_rate=0.0)
-    base.update(over)
-    return AgentHyperparams(**base)
+_PPO = AgentHyperparams(
+    algo="ppo", frames=1, width_multiplier=1, conv_kind="conv2d",
+    learning_rate=5e-4, batch_size=2048, epochs_per_update=3,
+    gamma=0.999, gae_lambda=0.95, normalize_advantages=True,
+    clip_value_loss=True, clip_coeff=0.2, entropy_coeff=1e-2,
+    value_loss_coeff=0.5, max_grad_norm=0.5, dropout_rate=0.0)
+_VSOP = AgentHyperparams(
+    algo="vsop", frames=1, width_multiplier=1, conv_kind="conv2d",
+    learning_rate=4.5e-4, batch_size=2048, epochs_per_update=3,
+    gamma=0.999, gae_lambda=0.881, normalize_advantages=False,
+    clip_value_loss=False, clip_coeff=None, entropy_coeff=1e-5,
+    value_loss_coeff=0.5, max_grad_norm=0.5, dropout_rate=0.075)
 
-
-def _vsop_base(**over) -> AgentHyperparams:
-    base = dict(
-        algo="vsop", frames=1, width_multiplier=1, conv_kind="conv2d",
-        learning_rate=4.5e-4, batch_size=2048, epochs_per_update=3,
-        gamma=0.999, gae_lambda=0.881, normalize_advantages=False,
-        clip_value_loss=False, clip_coeff=None, entropy_coeff=1e-5,
-        value_loss_coeff=0.5, max_grad_norm=0.5, dropout_rate=0.075)
-    base.update(over)
-    return AgentHyperparams(**base)
-
-
+# The 3D presets are overrides of their algorithm's 2D cell, derived as
+# `RunConfig.hyperparams()` derives `hyperparam_overrides`.
 PRESETS: dict[str, AgentHyperparams] = {
-    "ppo": _ppo_base(),
-    "ppo3d": _ppo_base(frames=8, conv_kind="conv3d"),
-    "vsop": _vsop_base(),
-    "vsop3d": _vsop_base(frames=8, conv_kind="conv3d"),
-    "vsop3d_plus": _vsop_base(frames=16, conv_kind="conv3d", width_multiplier=2,
-                              learning_rate=2.0e-4, batch_size=512,
-                              epochs_per_update=1),
+    "ppo": _PPO,
+    "ppo3d": replace(_PPO, frames=8, conv_kind="conv3d"),
+    "vsop": _VSOP,
+    "vsop3d": replace(_VSOP, frames=8, conv_kind="conv3d"),
+    "vsop3d_plus": replace(_VSOP, frames=16, conv_kind="conv3d", width_multiplier=2,
+                           learning_rate=2.0e-4, batch_size=512, epochs_per_update=1),
 }
 
 

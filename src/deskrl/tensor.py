@@ -43,12 +43,13 @@ corner index, add/sub/reshape/mean_axis/tsum/tmean shapes only. No
 closure holds a tensor, and a parent that needs no gradient is kept as
 None, so an activation that no backward reads dies with its last name,
 by refcount. The small outputs of exp and softmax_entropy are
-kept as arrays, since their gradients read them.
+kept as arrays, since their gradients read them. `_make` alone decides,
+for every op, whether its output is taped.
 
 `backward` frees the tape as it walks it: once a node has passed its
 gradient on, its gradient, parents and closure are dropped, so interior
 gradients and saved arrays die as soon as they are used. Walking a graph
-a second time raises. Under `no_grad()` no op builds a node or closure,
+a second time raises. Under `no_grad()` no op keeps a node or closure,
 and the pool computes only the max, for forwards whose outputs are only
 read (acting, evaluation).
 
@@ -184,8 +185,11 @@ def _taped(*parents: Tensor) -> bool:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """A taped output. backward_fn(g) returns one gradient per parent; a
-    parent that needs none is kept as None, so the tape does not hold it."""
+    """An op's output: a plain Tensor when nothing needs a gradient, else a
+    taped one. backward_fn(g) returns one gradient per parent; a parent that
+    needs none is kept as None, so the tape does not hold it."""
+    if not _taped(*parents):
+        return Tensor(data)
     return _Output(data, tuple(p._node if p.requires_grad else None for p in parents),
                    backward_fn)
 
@@ -258,29 +262,26 @@ def backward(loss: Tensor) -> None:
 # elementwise / linear algebra
 # ---------------------------------------------------------------------------
 #
-# Each op computes its output, returns a plain Tensor when it records no tape,
-# and otherwise hands `_make` a closure over exactly what its gradient reads.
+# Each op hands `_make` its output and a closure over exactly what its
+# gradient reads; `_make` tapes the output only in grad mode with a parent
+# that requires a gradient, else drops the closure. Only `clip` and
+# `maxpool2x2` check `_taped` first: their masks are computed from the
+# input array, which the closure must not keep, so untaped they skip them.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    if not _taped(a, b):
-        return Tensor(out)
     sa, sb = a.shape, b.shape
     return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    if not _taped(a, b):
-        return Tensor(out)
     sa, sb = a.shape, b.shape
     return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
-    if not _taped(a, b):
-        return Tensor(out)
     ad, bd = a.data, b.data
     return _make(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
                                          _unbroadcast(g * ad, bd.shape)))
@@ -290,8 +291,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    if not _taped(a, b):
-        return Tensor(out)
     ad, bd = a.data, b.data
     return _make(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
@@ -303,8 +302,6 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (weight.shape[1],):
         raise ShapeError(f"dense bias shape {bias.shape} != ({weight.shape[1]},)")
     out = x.data @ weight.data + bias.data
-    if not _taped(x, weight, bias):
-        return Tensor(out)
     xd, wd = x.data, weight.data
     return _make(out, (x, weight, bias), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
@@ -313,29 +310,23 @@ def relu(x: Tensor) -> Tensor:
     # Subgradient at 0 is 0 by convention.
     mask = x.data > 0.0
     out = np.where(mask, x.data, 0.0)
-    if not _taped(x):
-        return Tensor(out)
     return _make(out, (x,), lambda g: (g * mask,))
 
 
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
-    if not _taped(x):
-        return Tensor(out)
     return _make(out, (x,), lambda g: (g * out,))  # the output array, not the tensor
 
 
 def square(x: Tensor) -> Tensor:
     out = x.data * x.data
-    if not _taped(x):
-        return Tensor(out)
     xd = x.data
     return _make(out, (x,), lambda g: (g * 2.0 * xd,))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(x.data, lo, hi)
-    if not _taped(x):
+    if not _taped(x):  # the mask must be built now, or the closure keeps the input
         return Tensor(out)
     inside = (x.data > lo) & (x.data < hi)
     return _make(out, (x,), lambda g: (g * inside,))
@@ -344,8 +335,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 def _select(a: Tensor, b: Tensor, out: np.ndarray, take_a: np.ndarray) -> Tensor:
     """An elementwise choice between a and b; the gradient goes to a where
     the bool mask `take_a` holds, else to b."""
-    if not _taped(a, b):
-        return Tensor(out)
     sa, sb = a.shape, b.shape
     return _make(out, (a, b), lambda g: (_unbroadcast(g * take_a, sa),
                                          _unbroadcast(g * ~take_a, sb)))
@@ -362,32 +351,24 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 def tsum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum())
-    if not _taped(x):
-        return Tensor(out)
     shape = x.shape
     return _make(out, (x,), lambda g: (np.full(shape, float(np.sum(g))),))
 
 
 def tmean(x: Tensor) -> Tensor:
     out = np.asarray(x.data.mean())
-    if not _taped(x):
-        return Tensor(out)
     shape, n = x.shape, x.size
     return _make(out, (x,), lambda g: (np.full(shape, float(np.sum(g)) / n),))
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
     out = x.data.mean(axis=axis)
-    if not _taped(x):
-        return Tensor(out)
     n = x.shape[axis]
     return _make(out, (x,), lambda g: (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = x.data.reshape(shape)
-    if not _taped(x):
-        return Tensor(out)
     in_shape = x.shape
     return _make(out, (x,), lambda g: (g.reshape(in_shape),))
 
@@ -547,8 +528,6 @@ def _convnd(x: Tensor, kernel: Tensor, spec: ConvSpec, ndim: int,
     if bias is not None:
         out_data += bias.data.reshape((o,) + ones)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    if not _taped(*parents):
-        return Tensor(out_data)
     xd, kd, has_bias = x.data, kernel.data, bias is not None
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
@@ -618,7 +597,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
     out_data = np.maximum(views[0], views[1])
     np.maximum(out_data, views[2], out=out_data)
     np.maximum(out_data, views[3], out=out_data)
-    if not _taped(x):
+    if not _taped(x):  # the index must be built now, or the closure keeps the input
         return Tensor(out_data)
     first = np.full(out_data.shape, 3, dtype=np.uint8)
     for k in (2, 1, 0):  # later writes win, so the first maximal corner does
@@ -647,8 +626,6 @@ def dropout(x: Tensor, rate: float, rng: Optional[Rng]) -> Tensor:
     scale = 1.0 / (1.0 - rate)
     keep = rng.random(x.shape) >= rate  # bool: an eighth of a float mask on the tape
     out = x.data * keep * scale
-    if not _taped(x):
-        return Tensor(out)
     return _make(out, (x,), lambda g: (g * keep * scale,))
 
 
@@ -670,12 +647,9 @@ def categorical_logprob(logits: Tensor, actions: np.ndarray) -> Tensor:
     actions = np.asarray(actions, dtype=np.int64)
     ls = _log_softmax(logits.data)
     out = ls[np.arange(n), actions]
-    if not _taped(logits):
-        return Tensor(out)
-    probs = np.exp(ls)
 
     def bw(g):
-        gl = -probs * g[:, None]
+        gl = -np.exp(ls) * g[:, None]
         gl[np.arange(n), actions] += g
         return (gl,)
     return _make(out, (logits,), bw)
@@ -688,8 +662,6 @@ def softmax_entropy(logits: Tensor) -> Tensor:
     ls = _log_softmax(logits.data)
     probs = np.exp(ls)
     ent = -(probs * ls).sum(axis=1)
-    if not _taped(logits):
-        return Tensor(ent)
     # dH/dz_j = -p_j (log p_j + H)
     return _make(ent, (logits,), lambda g: (-probs * (ls + ent[:, None]) * g[:, None],))
 

@@ -13,7 +13,8 @@ raises one `ValueError` listing every problem, so none reaches `train()`.
 
 Checkpoints are deskrl's one checkpoint format. Before it loads anything or
 touches `metrics.csv`, resume rejects a checkpoint whose `hp`/`config`
-(bar `total_steps`) or whose array names and shapes differ from this run's.
+(bar `total_steps`) or whose array names and shapes differ from this run's,
+or whose csv offset lies past the end of `metrics.csv`.
 
 Evaluation keeps VSOP's dropout sampling active by default (the acting
 policy is the Thompson-sampling policy); `eval_mode="mean"` switches to
@@ -194,6 +195,16 @@ def _check_resume_arrays(path, stored: dict[str, np.ndarray],
                          + "; ".join(diffs))
 
 
+def _check_resume_csv(path, csv_path, offset: int) -> None:
+    """Raise unless `csv_path` holds at least the checkpoint's `offset` bytes;
+    truncating a shorter file to the offset would pad it with NUL bytes."""
+    size = os.path.getsize(csv_path) if os.path.exists(csv_path) else None
+    if size is None or size < offset:
+        found = "missing" if size is None else f"{size} bytes"
+        raise ValueError(f"{path}: checkpoint csv offset {offset} lies past the end "
+                         f"of {csv_path} ({found})")
+
+
 def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
           resume_from=None) -> dict:
     """Run one seed to completion; returns a small summary dict.
@@ -222,12 +233,15 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
     update_log: list[dict] = []
     csv_path = os.path.join(out_dir, "metrics.csv")
 
+    def ckpt_arrays() -> dict[str, np.ndarray]:
+        return {**agent.state_arrays(), "frame_stack": collector.stack.frames}
+
     if resume_from is not None:
         meta, arrays = read_container(resume_from)
         _check_resume_matches(resume_from, meta, hp, config)
-        _check_resume_arrays(resume_from, arrays,
-                             {**agent.state_arrays(), "frame_stack": collector.stack.frames})
+        _check_resume_arrays(resume_from, arrays, ckpt_arrays())
         state = meta["trainer_state"]
+        _check_resume_csv(resume_from, csv_path, state["csv_offset"])
         agent.load_state(arrays, state["agent_rngs"])
         vec.set_state(state["vec"])
         collector.stack.frames = arrays["frame_stack"]
@@ -272,7 +286,7 @@ def train(config: TrainConfig, hp: AgentHyperparams, out_dir,
         write_container(
             os.path.join(out_dir, f"ckpt_update{update_idx}.bin"),
             {"trainer_state": state, "hp": asdict(hp), "config": asdict(config)},
-            {**agent.state_arrays(), "frame_stack": collector.stack.frames})
+            ckpt_arrays())
 
     # Closed however the loop ends, so a failed cell's rows reach the disk
     # even while its exception is still held.

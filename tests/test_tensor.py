@@ -162,6 +162,66 @@ def test_no_grad_records_no_tape_and_restores_on_raise():
     assert z.requires_grad and z._parents == (x,)
 
 
+_CONV2 = T.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
+_CONV3 = T.ConvSpec((2, 3, 3), (1, 1, 1), (0, 1, 1), 2, 3)
+# Every differentiable op: (call on its tensor operands, operand shapes).
+_TAPING_CASES = {
+    "add": (T.add, [(2, 3), (3,)]),
+    "sub": (T.sub, [(2, 3), (2, 3)]),
+    "mul": (T.mul, [(2, 3), (2, 3)]),
+    "matmul": (T.matmul, [(2, 3), (3, 4)]),
+    "dense": (T.dense, [(2, 3), (3, 4), (4,)]),
+    "relu": (T.relu, [(2, 3)]),
+    "exp": (T.exp, [(2, 3)]),
+    "square": (T.square, [(2, 3)]),
+    "clip": (lambda x: T.clip(x, -0.5, 0.5), [(2, 3)]),
+    "minimum": (T.minimum, [(2, 3), (2, 3)]),
+    "maximum": (T.maximum, [(2, 3), (2, 3)]),
+    "tsum": (T.tsum, [(2, 3)]),
+    "tmean": (T.tmean, [(2, 3)]),
+    "mean_axis": (lambda x: T.mean_axis(x, 1), [(2, 3)]),
+    "reshape": (lambda x: T.reshape(x, (3, 2)), [(2, 3)]),
+    "conv2d": (lambda x, k: T.conv2d(x, k, _CONV2), [(1, 2, 4, 4), (3, 2, 3, 3)]),
+    "conv2d_bias": (lambda x, k, b: T.conv2d(x, k, _CONV2, b),
+                    [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "conv3d": (lambda x, k: T.conv3d(x, k, _CONV3), [(1, 2, 2, 4, 4), (3, 2, 2, 3, 3)]),
+    "conv3d_bias": (lambda x, k, b: T.conv3d(x, k, _CONV3, b),
+                    [(1, 2, 2, 4, 4), (3, 2, 2, 3, 3), (3,)]),
+    "maxpool2x2": (T.maxpool2x2, [(1, 2, 4, 4)]),
+    "dropout": (lambda x: T.dropout(x, 0.25, Rng(0)), [(2, 3)]),
+    "categorical_logprob": (lambda z: T.categorical_logprob(z, np.array([0, 2])), [(2, 3)]),
+    "softmax_entropy": (T.softmax_entropy, [(2, 3)]),
+    "sample_categorical": (lambda z: T.sample_categorical(z, Rng(0))[1], [(2, 3)]),
+}
+
+
+_NOT_OPS = {"Tensor", "ShapeError", "softmax_probs", "backward", "no_grad"}
+
+
+# Drawn from __all__, so an op added without a case fails here.
+@pytest.mark.parametrize("name", sorted(set(T.__all__) - _NOT_OPS) + ["conv2d_bias",
+                                                                     "conv3d_bias"])
+def test_an_op_is_taped_only_when_a_parent_needs_a_gradient(name):
+    op, shapes = _TAPING_CASES[name]
+    rng = Rng(1)
+    arrays = [rng.normal(size=s) for s in shapes]
+
+    def call(needs_grad):
+        operands = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)]
+        return op(*operands), operands
+
+    def untaped(out):
+        return type(out) is Tensor and out._backward_fn is None and out._parents == ()
+
+    with T.no_grad():
+        assert untaped(call([True] * len(arrays))[0])
+    assert untaped(call([False] * len(arrays))[0])
+    for i in range(len(arrays)):
+        out, operands = call([j == i for j in range(len(arrays))])
+        assert out.requires_grad and out._backward_fn is not None
+        assert out._parents == tuple(p if j == i else None for j, p in enumerate(operands))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):

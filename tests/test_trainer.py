@@ -184,6 +184,27 @@ def test_resume_rejects_misshapen_arrays(tmp_path):
         assert (run / "metrics.csv").read_bytes() == csv_before
 
 
+def test_resume_rejects_a_metrics_csv_shorter_than_its_offset(tmp_path):
+    # Truncating a short csv up to the checkpoint's offset used to pad it
+    # with NUL bytes and run on; read_metrics_csv then read no rows.
+    hp = dataclasses.replace(SMALL_PPO, batch_size=32)
+    cfg = small_config(total_steps=96, eval_interval=10**9, checkpoint_interval=1)
+    train(cfg, hp, tmp_path)
+    csv = tmp_path / "metrics.csv"
+    ckpt = tmp_path / "ckpt_update2.bin"
+    offset = read_container(ckpt)[0]["trainer_state"]["csv_offset"]
+    short = csv.read_bytes()[:40]
+    assert offset > len(short)
+    csv.write_bytes(short)
+    with pytest.raises(ValueError) as err:
+        train(cfg, hp, tmp_path, resume_from=ckpt)
+    assert all(s in str(err.value) for s in (str(ckpt), str(csv), "40 bytes", str(offset)))
+    assert csv.read_bytes() == short
+    csv.unlink()
+    with pytest.raises(ValueError, match="missing"):
+        train(cfg, hp, tmp_path, resume_from=ckpt)
+
+
 def test_evaluate_policy_uses_test_split_and_is_repeatable():
     agent = Agent(SMALL_PPO, obs_size=16, num_actions=5, rng=Rng(0))
     cfg = small_config()
