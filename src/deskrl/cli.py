@@ -15,7 +15,9 @@ a machine-readable JSON object on stderr.
 process's affinity mask (`taskset -c 0 deskrl train ...` trains one at a
 time). The workers are the calling process and forked children; each takes
 the first pending cell in grid order and runs `trainer.train` on it, so
-every file is byte-identical to a one-worker run. manifest.json is the
+every file is byte-identical to a one-worker run. With more than one
+worker, each runs numpy's bundled OpenBLAS on one thread, and the caller
+restores its own thread count when the pool ends. manifest.json is the
 queue and the status record: a worker claims a cell and records its end
 there itself, each time under a lock on the run directory. A failed cell
 stops the hand-out; the cells already running finish, and the earliest
@@ -34,6 +36,7 @@ import ctypes
 import dataclasses
 import fcntl
 import functools
+import glob
 import hashlib
 import json
 import os
@@ -41,6 +44,7 @@ import pickle
 import signal
 import sys
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -163,6 +167,25 @@ def _libc() -> ctypes.CDLL:
     return libc
 
 
+def _set_blas_threads(count: int) -> int | None:
+    """Limit numpy's bundled OpenBLAS to `count` threads; returns the previous
+    count. Changes nothing and returns None where the install has no such
+    library or it lacks the calls. Loading the library numpy already loaded
+    returns that same library."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    previous = get()
+    put(count)
+    return previous
+
+
 def _cpu_count() -> int:
     """The CPUs of the process's affinity mask; 1 where `os` cannot read it."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -278,10 +301,14 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
     caller = os.getpid()
     children: list[int] = []
     reports = []  # read ends of the children's pipes
+    workers = min(len(cells), _cpu_count())
+    # One BLAS thread per worker, or W workers would run W x CPUs threads;
+    # the children inherit the caller's setting at the fork.
+    blas_threads = _set_blas_threads(1) if workers > 1 else None
     sys.stdout.flush()
     sys.stderr.flush()
     try:
-        for _ in range(min(len(cells), _cpu_count()) - 1):
+        for _ in range(workers - 1):
             r, w = os.pipe()
             reports.append(open(r, "rb"))
             try:
@@ -310,6 +337,8 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> str:
             os.waitpid(pid, 0)
         for report in reports:
             report.close()
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
         # Every worker has ended, so a cell still running lost its worker: it
         # crashed, was killed, or the caller's cell raised a BaseException.
         with _locked_manifest(out_dir) as manifest:

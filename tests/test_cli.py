@@ -350,6 +350,44 @@ def test_more_workers_than_cores_train_each_cell_once(tmp_path, monkeypatch):
         f"seed{s}" for s in range(12) for _ in range(2))
 
 
+def test_set_blas_threads_returns_the_count_it_replaces():
+    previous = cli._set_blas_threads(1)
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter")
+    try:
+        assert cli._set_blas_threads(3) == 1
+    finally:
+        assert cli._set_blas_threads(previous) == 3
+
+
+@pytest.mark.parametrize("workers,cell_threads", [(2, 1), (1, 3)])
+def test_workers_run_one_blas_thread_and_the_caller_gets_its_count_back(
+        tmp_path, monkeypatch, workers, cell_threads):
+    previous = cli._set_blas_threads(3)
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter")
+
+    def train(tc, hp, cell_dir):
+        os.makedirs(cell_dir)
+        threads = cli._set_blas_threads(1)  # the count this cell runs with
+        cli._set_blas_threads(threads)
+        (Path(cell_dir) / "threads").write_text(str(threads))
+        return fake_summary(cell_dir)
+
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+    run = tmp_path / "run"
+    cfg = load_run_config(write_config(tmp_path, output_dir=str(run),
+                                       envs=["chase_dot"], seeds=[0, 1, 2, 3]))
+    try:
+        cli.run_training(cfg, quiet=True)
+    finally:
+        restored = cli._set_blas_threads(previous)
+    assert restored == 3
+    counts = [int(p.read_text()) for p in sorted(run.glob("*/seed*/threads"))]
+    assert counts == [cell_threads] * 4
+
+
 class StopAtFirstStep(BaseException):
     """Like the benchmark's set-up probe: raised at the caller's first env step."""
 

@@ -235,6 +235,39 @@ def test_shared_node_gradient_sums_both_paths():
     np.testing.assert_allclose(x.grad, [12.0])  # d/dx 2x^2 = 4x
 
 
+def test_a_residual_adds_parents_get_distinct_gradient_arrays():
+    # add hands one array to both parents; neither may adopt it.
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    h = T.relu(T.square(x))
+    T.tsum(T.mul(T.add(h, x), Tensor(np.array([1.0, 2.0, 3.0])))).backward()
+    np.testing.assert_array_equal(x.grad, [3.0, -6.0, 21.0])  # g * (2x + 1)
+    a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)), requires_grad=True)
+    T.tsum(T.add(a, b)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad *= 0.5
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_scaling_one_gradient_leaves_every_other_unchanged():
+    # clip_grad_norm scales each gradient in place; an adopted gradient
+    # must be owned by its leaf alone.
+    r = np.random.default_rng(3)
+    spec = T.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
+    leaves = [Tensor(r.normal(size=s), requires_grad=True)
+              for s in [(4, 2, 6, 6), (3, 2, 3, 3), (3,), (27, 5), (5,)]]
+    x, k, kb, w, wb = leaves
+    c = T.conv2d(x, k, spec, kb)
+    h = T.maxpool2x2(T.relu(T.add(c, c)))
+    y = T.dense(T.reshape(h, (4, 27)), w, wb)
+    T.tsum(T.mul(T.add(y, T.exp(y)), Tensor(r.normal(size=(4, 5))))).backward()
+    for i, leaf in enumerate(leaves):
+        before = [t.grad.copy() for t in leaves]
+        leaf.grad *= 0.5
+        for j, t in enumerate(leaves):
+            if j != i:
+                assert t.grad.tobytes() == before[j].tobytes()
+
+
 # -- convolution ------------------------------------------------------------
 
 def test_conv2d_identity_kernel():
@@ -405,6 +438,10 @@ MULTI_CHUNK_CASES = [
     (3, 10, 2, (3, 5, 5), (1, 1, 1), (1, 2, 2), (3, 24, 24)),
     (5, 16, 2, (5, 7), (1, 1), (2, 3), (32, 48)),
     (3, 6, 2, (3, 3, 3), (2, 1, 1), (1, 1, 1), (8, 24, 24)),
+    # Every spatial extent differs, so an axis swapped in the batch-last
+    # columns or accumulator cannot go unseen.
+    (10, 16, 2, (3, 3, 5), (1, 2, 2), (1, 1, 2), (6, 10, 14)),
+    (12, 32, 3, (3, 5), (1, 2), (1, 2), (20, 34)),
 ]
 
 
